@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 "override the engine ingest backend (resident = persistent "
-                "worker pool with shared-memory handoff; sockets = remote "
+                "forked local workers on socket pairs; sockets = remote "
                 "workers named by --worker)"
             ),
         )

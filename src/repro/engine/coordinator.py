@@ -7,10 +7,11 @@ a sharded one:
    the input stream to one of ``n_shards`` shards;
 2. each :class:`~repro.engine.shard.Shard` feeds its rows to a fresh
    estimator replica — serially, in per-call worker processes, in a
-   *resident* worker pool fed through shared memory, or on remote socket
-   workers (in every parallel mode only the estimator's *compact snapshot
-   state* — the :mod:`repro.persistence` wire format, no shard
-   bookkeeping, no timing fields — crosses the process boundary; see
+   *resident* pool of forked local workers, or on remote socket workers
+   (the last two share one socket worker pool; in every parallel mode
+   only the estimator's *compact snapshot state* — the
+   :mod:`repro.persistence` wire format, no shard bookkeeping, no timing
+   fields — crosses the process boundary; see
    :mod:`repro.engine.transport`);
 3. the per-shard summaries are folded together through the estimator-level
    ``merge()`` protocol, yielding one summary of the whole stream.
@@ -60,19 +61,19 @@ from .transport import (
 __all__ = ["Coordinator", "IngestReport", "INGEST_BACKENDS"]
 
 #: Supported ingest execution backends.  ``serial`` and ``processes`` are
-#: the original pair; ``resident`` runs a persistent worker pool with
-#: shared-memory block handoff and ``sockets`` drives remote shard servers
-#: over the framed ``repro/transport@1`` protocol.
+#: the original pair; ``resident`` forks a persistent local worker per
+#: shard and ``sockets`` drives remote shard servers, both over the framed
+#: ``repro/transport@1`` protocol.
 INGEST_BACKENDS = ("serial", "processes", "resident", "sockets")
 
 #: Coordinators holding (or able to hold) persistent worker pools.  The
 #: atexit hook below closes whatever is still alive at interpreter exit,
 #: so a script that forgets ``close()`` (or the ``with`` form) does not
-#: leak resident worker processes or shm rings.
+#: leave resident worker processes or socket connections behind.
 _LIVE_COORDINATORS: "weakref.WeakSet[Coordinator]" = weakref.WeakSet()
 
 
-def _close_live_coordinators() -> None:  # pragma: no cover - exit hook
+def _close_live_coordinators() -> None:
     for coordinator in list(_LIVE_COORDINATORS):
         try:
             coordinator.close()
@@ -192,8 +193,8 @@ class Coordinator:
     backend:
         ``"processes"`` ingests shards in per-call parallel worker
         processes; ``"resident"`` keeps one worker process per shard alive
-        across ``ingest()`` calls, hands it row blocks through shared
-        memory, and ships estimator snapshot bytes only at merge time;
+        across ``ingest()`` calls, hands it row blocks over a socket pair,
+        and ships estimator snapshot bytes only at merge time;
         ``"sockets"`` drives remote shard servers (``python -m repro
         worker``) at ``worker_addresses`` over the framed
         ``repro/transport@1`` protocol; ``"serial"`` ingests shards one
@@ -503,7 +504,7 @@ class Coordinator:
 
         Unlike :meth:`_ingest_in_processes`, which materialises every
         shard's rows up front, the transport backends walk the stream once
-        in :data:`~repro.engine.transport.resident.DEFAULT_TRANSPORT_BLOCK_ROWS`
+        in :data:`~repro.engine.transport.sockets.DEFAULT_TRANSPORT_BLOCK_ROWS`
         blocks (or ``batch_size`` blocks when set) and ship each shard's
         per-batch sub-block as its own ``ingest_block`` frame.  Workers
         therefore replay the serial backend's exact ``observe_rows`` call

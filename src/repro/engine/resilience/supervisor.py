@@ -92,11 +92,16 @@ def connect_with_retry(
             )
         else:
             try:
-                return socket.create_connection(
+                sock = socket.create_connection(
                     (host, port), timeout=resilience.deadlines.connect
                 )
             except OSError as error:
                 last_error = error
+            else:
+                # Without this, Nagle holds a small frame (a snapshot
+                # request) behind the peer's delayed ACK of the last one.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                return sock
         wait = next(delays, None)
         if wait is None:
             break
@@ -119,8 +124,7 @@ def recv_bytes_with_deadline(conn, deadline: float | None, what: str = "reply"):
     Polls the connection up to ``deadline`` seconds before receiving, so
     a worker that stopped answering surfaces as a
     :class:`TransportError` the supervisor can act on rather than a
-    coordinator deadlock.  ``deadline=None`` waits forever (the worker
-    side of the pipe, which legitimately blocks between requests).
+    coordinator deadlock.  ``deadline=None`` waits forever.
     """
     if deadline is not None and not conn.poll(deadline):
         raise TransportError(
@@ -226,7 +230,7 @@ class ShardSupervisor:
 class WorkerSupervisor:
     """Pool-wide supervision: per-shard state plus policy decisions.
 
-    The pools own the I/O (they are the ones holding pipes and sockets);
+    The pools own the I/O (they are the ones holding the sockets);
     the supervisor owns the bookkeeping — whether another recovery is
     allowed, whether exhaustion degrades or fails, and the telemetry
     accounting for retries and recoveries.

@@ -3,114 +3,54 @@
 The per-call ``processes`` backend pays three taxes on every
 ``Coordinator.ingest`` call: a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
 spawn, a pickled row payload per shard, and a snapshot round trip *in both
-directions*.  A :class:`ResidentWorkerPool` amortises all three: workers
-are spawned once per coordinator lifetime, hold their shard's estimator
-in-process (loaded once from pristine snapshot bytes), receive row blocks
-through a shared-memory ring (descriptors only — no row serialization),
-and ship snapshot bytes back only when the coordinator asks for a merge.
-After every ``snapshot`` the worker resets itself to the cached pristine
-payload, so each ingest call still starts from a fresh replica exactly
-like the serial and per-call backends.
+directions*.  A :class:`ResidentWorkerPool` amortises all three: one worker
+per shard is forked once per coordinator lifetime on a
+:func:`socket.socketpair`, loads its shard's estimator once from pristine
+snapshot bytes, and serves its end of the pair with the same
+per-connection handler as a remote ``python -m repro worker``
+(:func:`~repro.engine.transport.sockets.serve_connection`).  Snapshot bytes
+travel back only when the coordinator asks for a merge, after which the
+worker resets itself to the cached pristine payload, so each ingest call
+still starts from a fresh replica exactly like the serial and per-call
+backends.
 
-Failure handling follows the pool's
-:class:`~repro.engine.resilience.ResilienceConfig`.  Under the default
-``respawn`` recovery a worker that dies or breaches an RPC deadline is
-forked again, reloaded from its shard's basis snapshot and replayed the
-blocks the :class:`~repro.engine.resilience.ShardSupervisor` buffered —
-the estimator observes the same rows in the same order, so the recovered
-ingest stays bit-identical to serial.  Under ``fail-fast`` (the
-pre-resilience contract, and the zero-overhead path: no blocks are
-buffered) the pool tears itself down and surfaces
-:class:`~repro.errors.EstimationError` naming the shard and backend.
-When recoveries are exhausted and the policy says ``degrade``, the shard
-is marked lost: its rows are dropped (and counted), and ``collect``
-reports the loss so the coordinator can serve coverage-annotated answers
-instead of failing.
+Everything else — ack-paced inline block shipping, deadlines, recovery by
+re-dialling and replaying, degradation and the error messages — is the
+:class:`~repro.engine.transport.sockets.SocketWorkerPool`'s.  Here
+re-dialling a shard means reaping its worker and forking a fresh one.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import socket
 
-import numpy as np
+from ..resilience import ResilienceConfig
+from .sockets import (
+    SocketShardClient,
+    SocketWorkerPool,
+    fork_context,
+    serve_connection,
+)
 
-from ...errors import EstimationError, TransportError
-from ..resilience import ResilienceConfig, WorkerSupervisor
-from ..resilience.supervisor import CLIENT_FEATURES, recv_bytes_with_deadline
-from .frames import apply_send_faults, decode_frame, encode_frame
-from .shm import RING_SLOTS, ShmRing
-from .worker import ShardWorkerState
-
-__all__ = ["DEFAULT_TRANSPORT_BLOCK_ROWS", "ResidentWorkerPool"]
-
-#: Transport block size used when the coordinator has no ``batch_size``.
-DEFAULT_TRANSPORT_BLOCK_ROWS = 4096
-
-#: Connection failures that mean "the worker process is gone".
-_DEAD_WORKER_ERRORS = (BrokenPipeError, ConnectionResetError, EOFError, OSError)
+__all__ = ["ResidentWorkerPool"]
 
 
-def _resident_worker_main(conn) -> None:
-    """Child-process entry: answer frames on ``conn`` until EOF/shutdown."""
-    state = ShardWorkerState()
-    try:
-        while True:
-            try:
-                frame = recv_bytes_with_deadline(conn, None)
-            except _DEAD_WORKER_ERRORS:
-                break
-            try:
-                header, payload = decode_frame(frame)
-            except TransportError:
-                # A corrupted inbound frame leaves this replica's stream
-                # position unknowable; die and let the supervisor respawn
-                # and replay us from the basis snapshot.
-                break
-            try:
-                reply = state.handle(header, payload)
-            except TransportError:
-                # Protocol-integrity failures (truncated payloads, messages
-                # out of order) are replica-fatal: die and let the
-                # supervisor respawn and replay us.
-                break
-            if reply is not None:
-                conn.send_bytes(encode_frame(reply[0], reply[1]))
-            if header.get("type") == "shutdown":
-                break
-    finally:
-        state.close()
-        conn.close()
+def _local_worker_main(sock: socket.socket, parent_end: socket.socket) -> None:
+    """Child entry: drop the coordinator's end, serve ours until EOF."""
+    parent_end.close()
+    serve_connection(sock)
 
 
-class _Worker:
-    """Pool-side bookkeeping for one resident worker process."""
-
-    __slots__ = (
-        "process",
-        "conn",
-        "ring",
-        "features",
-        "pending",
-        "blocks",
-        "frames_sent",
-        "bytes_sent",
-        "bytes_received",
-    )
-
-    def __init__(self, process, conn, ring: ShmRing | None) -> None:
-        self.process = process
-        self.conn = conn
-        self.ring = ring
-        self.features: tuple[str, ...] = ()
-        self.pending: list[int] = []
-        self.blocks = 0
-        self.frames_sent = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
+def _reap(process, grace: float) -> None:
+    """Give a worker ``grace`` seconds to exit, then kill it."""
+    process.join(timeout=grace)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout=1.0)
 
 
-class ResidentWorkerPool:
-    """One resident worker process (plus shm ring) per shard.
+class ResidentWorkerPool(SocketWorkerPool):
+    """One forked local worker process per shard.
 
     Parameters
     ----------
@@ -118,10 +58,6 @@ class ResidentWorkerPool:
         One persistence snapshot payload per shard — the fresh replica each
         worker is loaded with once, and resets itself to after every
         snapshot.
-    use_shm:
-        Ship row blocks through a shared-memory ring (the default).  With
-        ``False`` blocks travel inline in their frames — the portable
-        fallback, still unpickled.
     resilience:
         The :class:`~repro.engine.resilience.ResilienceConfig` governing
         deadlines and recovery; defaults to the standard policy
@@ -133,425 +69,54 @@ class ResidentWorkerPool:
     def __init__(
         self,
         pristine_payloads: list[bytes],
-        use_shm: bool = True,
         resilience: ResilienceConfig | None = None,
     ) -> None:
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        self._use_shm = use_shm
-        self._workers: list[_Worker] = []
-        self._closed = False
-        self.supervisor = WorkerSupervisor(
-            self.backend_name,
-            [bytes(payload) for payload in pristine_payloads],
-            resilience,
-        )
-        self._resilience = self.supervisor.resilience
-        try:
-            for index, payload in enumerate(pristine_payloads):
-                # Create the ring *before* forking its worker: the first
-                # segment starts the parent's resource tracker, and a child
-                # forked afterwards inherits that tracker instead of
-                # spawning its own (whose exit would unlink live segments).
-                ring = ShmRing() if use_shm else None
-                self._workers.append(self._spawn(index, ring, bytes(payload)))
-        except Exception:
-            self.close()
-            raise
-
-    # -- plumbing ----------------------------------------------------------------
-
-    @property
-    def n_workers(self) -> int:
-        """Number of resident workers (one per shard)."""
-        return len(self._workers)
+        self._processes: list = []
+        self._unclaimed: list = []
+        self._open(pristine_payloads, resilience)
 
     @property
     def processes(self) -> list:
         """The live worker processes (fault-injection tests kill these)."""
-        return [worker.process for worker in self._workers]
+        return list(self._processes)
 
-    def _spawn(self, index: int, ring: ShmRing | None, basis: bytes) -> _Worker:
-        """Fork one worker, negotiate features and load ``basis`` bytes."""
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_resident_worker_main,
-            args=(child_conn,),
+    def _fork(self, shard_index: int) -> socket.socket:
+        """Start shard ``shard_index``'s worker; returns our end of its pair."""
+        parent_end, child_end = socket.socketpair()
+        process = fork_context().Process(
+            target=_local_worker_main,
+            args=(child_end, parent_end),
             daemon=True,
-            name=f"repro-shard-{index}",
+            name=f"repro-shard-{shard_index}",
         )
         process.start()
-        child_conn.close()
-        worker = _Worker(process, parent_conn, ring)
-        deadlines = self._resilience.deadlines
-        try:
-            self._send_raw(
-                worker, index,
-                encode_frame(
-                    {"type": "hello", "features": list(CLIENT_FEATURES)}
-                ),
-            )
-            header, _ = self._recv_raw(worker, index, deadlines.connect)
-            worker.features = tuple(header.get("features") or ())
-            self._send_raw(
-                worker, index,
-                encode_frame({"type": "load", "shard": index}, basis),
-            )
-            header, _ = self._recv_raw(worker, index, deadlines.snapshot)
-            if header.get("type") != "ok":
-                raise TransportError(
-                    f"shard {index} worker answered {header.get('type')!r} "
-                    "to a load request"
-                )
-        except TransportError:
-            # Don't leak a half-handshaken replacement: reap it (without
-            # touching the ring, which the shard slot still owns) before
-            # letting the supervisor charge another recovery.
-            self._reap(worker)
-            raise
-        return worker
+        child_end.close()
+        self._processes[shard_index:shard_index + 1] = [process]  # or append
+        return parent_end
 
-    def _fail(self, shard_index: int, error: BaseException) -> None:
-        """Tear the pool down and surface a dead worker as EstimationError."""
-        self.close()
-        raise EstimationError(
-            f"shard {shard_index} worker died mid-ingest under the "
-            f"'{self.backend_name}' backend ({type(error).__name__}); the "
-            "worker pool was shut down and the coordinator will respawn it "
-            "on the next ingest() call"
-        ) from error
-
-    def _send_raw(
-        self, worker: _Worker, shard_index: int, frame: bytes,
-        fault_hook: bool = False,
-    ) -> None:
-        """Push one frame down the pipe; failures become TransportError."""
-        if fault_hook:
-            mangled = apply_send_faults(frame, shard_index, worker.frames_sent)
-            worker.frames_sent += 1
-            if mangled is None:
-                # Dropped by the fault plan: the worker never sees it, which
-                # surfaces later as an ack deadline breach — exactly how a
-                # real lost frame would present.
-                return
-            frame = mangled
-        try:
-            worker.conn.send_bytes(frame)
-        except _DEAD_WORKER_ERRORS as error:
-            raise TransportError(
-                f"shard {shard_index} worker pipe send failed "
-                f"({type(error).__name__}: {error})"
-            ) from error
-        worker.bytes_sent += len(frame)
-
-    def _recv_raw(
-        self, worker: _Worker, shard_index: int, deadline: float | None
-    ) -> tuple[dict, bytes]:
-        """Receive one frame; hangs and dead pipes become TransportError."""
-        try:
-            frame = recv_bytes_with_deadline(
-                worker.conn, deadline, what=f"shard {shard_index} reply"
-            )
-        except TransportError:
-            raise
-        except _DEAD_WORKER_ERRORS as error:
-            raise TransportError(
-                f"shard {shard_index} worker pipe receive failed "
-                f"({type(error).__name__}: {error})"
-            ) from error
-        worker.bytes_received += len(frame)
-        header, payload = decode_frame(frame)
-        if header.get("type") == "error":
-            # The estimator itself failed; replaying the same rows would
-            # fail identically, so this is not recoverable by respawn.
-            self.close()
-            raise EstimationError(
-                f"shard {shard_index} worker failed under the "
-                f"'{self.backend_name}' backend: {header.get('message')}"
-            )
-        return header, payload
-
-    def _drain_acks(self, shard_index: int, max_pending: int) -> None:
-        worker = self._workers[shard_index]
-        deadline = self._resilience.deadlines.ingest
-        while len(worker.pending) > max_pending:
-            header, _ = self._recv_raw(worker, shard_index, deadline)
-            if header.get("type") != "block_ack":
-                raise TransportError(
-                    f"shard {shard_index} worker answered "
-                    f"{header.get('type')!r} while a block_ack was pending"
-                )
-            worker.pending.remove(int(header.get("seq")))
-
-    # -- supervision -------------------------------------------------------------
-
-    def _reap(self, worker: _Worker) -> None:
-        """Put a dead/hung worker process fully out of its misery."""
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if worker.process.is_alive():
-            worker.process.kill()
-        worker.process.join(timeout=1.0)
-
-    def _respawn(self, shard_index: int) -> None:
-        """Fork a replacement, reload the basis, replay unacked blocks."""
-        worker = self._workers[shard_index]
-        shard = self.supervisor.shard(shard_index)
-        self._reap(worker)
-        replacement = self._spawn(shard_index, worker.ring, shard.basis)
-        # Transport accounting survives the worker: the replayed bytes are
-        # genuinely re-shipped and show up on top of the earlier counts.
-        replacement.blocks = worker.blocks
-        replacement.bytes_sent = worker.bytes_sent
-        replacement.bytes_received = worker.bytes_received
-        self._workers[shard_index] = replacement
-        for seq, block in shard.replay_blocks():
-            self._dispatch_block(shard_index, block, seq)
-        self._drain_acks(shard_index, 0)
-
-    def _handle_transport_failure(
-        self, shard_index: int, error: TransportError
-    ) -> bool:
-        """Recover ``shard_index`` per policy; True when it is healthy again.
-
-        Charges recovery attempts until one respawn+replay succeeds; on
-        exhaustion either marks the shard lost (``on_exhausted="degrade"``,
-        returns False) or closes the pool and raises ``EstimationError``
-        exactly like the fail-fast path.
-        """
-        last_error: TransportError = error
-        while self.supervisor.may_recover(shard_index):
-            with self.supervisor.begin_recovery(shard_index):
-                try:
-                    self._respawn(shard_index)
-                    return True
-                except TransportError as retry_error:
-                    last_error = retry_error
-        shard = self.supervisor.shard(shard_index)
-        if shard.tracking and self.supervisor.may_degrade():
-            worker = self._workers[shard_index]
-            self._reap(worker)
-            shard.mark_lost()
-            return False
-        self._fail(shard_index, last_error)
-
-    # -- the ingest protocol -----------------------------------------------------
-
-    def _dispatch_block(
-        self, shard_index: int, contiguous: np.ndarray, seq: int
-    ) -> None:
-        """Ship one already-contiguous block (ack-paced); may raise TransportError."""
-        worker = self._workers[shard_index]
-        header = {
-            "type": "ingest_block",
-            "shard": shard_index,
-            "seq": seq,
-            "ack": True,
-        }
-        if worker.ring is not None:
-            if worker.ring.needs_regrow(contiguous):
-                self._drain_acks(shard_index, 0)
-                worker.ring.regrow(int(contiguous.nbytes))
-            self._drain_acks(shard_index, worker.ring.slots - 1)
-            header["shm"] = worker.ring.place(contiguous)
-            frame = encode_frame(header)
-        else:
-            self._drain_acks(shard_index, RING_SLOTS - 1)
-            header["shm"] = None
-            header["shape"] = list(contiguous.shape)
-            header["dtype"] = np.dtype(contiguous.dtype).str
-            frame = encode_frame(header, contiguous.tobytes())
-        self._send_raw(worker, shard_index, frame, fault_hook=True)
-        worker.pending.append(seq)
-        worker.blocks += 1
-
-    def send_block(self, shard_index: int, block: np.ndarray) -> None:
-        """Hand one row block to ``shard_index``'s worker (ack-paced)."""
-        shard = self.supervisor.shard(shard_index)
-        if shard.lost:
-            shard.record_dropped(int(block.shape[0]))
-            return
-        contiguous = np.ascontiguousarray(block)
-        seq = shard.assign_seq()
-        shard.record_send(seq, contiguous)
-        try:
-            self._dispatch_block(shard_index, contiguous, seq)
-        except TransportError as error:
-            # A successful recovery already replayed this block (it was
-            # recorded above); a degraded shard silently absorbs it.
-            if not self._handle_transport_failure(shard_index, error):
-                return
-        if shard.needs_sync(self._resilience.recovery.sync_every):
-            self._sync(shard_index)
-
-    def _sync(self, shard_index: int) -> None:
-        """Mid-ingest basis refresh: snapshot bytes without a reset."""
-        worker = self._workers[shard_index]
-        if "sync_snapshot" not in worker.features:
-            return
-        shard = self.supervisor.shard(shard_index)
-        try:
-            self._drain_acks(shard_index, 0)
-            self._send_raw(
-                worker, shard_index,
-                encode_frame({"type": "snapshot", "reset": False}),
-                fault_hook=True,
-            )
-            header, payload = self._recv_raw(
-                worker, shard_index, self._resilience.deadlines.snapshot
-            )
-            if header.get("type") != "snapshot_state":
-                raise TransportError(
-                    f"shard {shard_index} worker answered "
-                    f"{header.get('type')!r} to a sync snapshot request"
-                )
-            shard.record_sync(int(header.get("last_seq", -1)), payload)
-        except TransportError as error:
-            self._handle_transport_failure(shard_index, error)
-
-    def _lost_entry(self, shard_index: int) -> dict:
-        """The collect() result for a shard given up on."""
-        worker = self._workers[shard_index]
-        shard = self.supervisor.shard(shard_index)
-        entry = {
-            "rows": 0,
-            "seconds": 0.0,
-            "payload": None,
-            "metrics": None,
-            "lost": True,
-            "rows_dropped": shard.drain_dropped(),
-            "blocks": worker.blocks,
-            "bytes_sent": worker.bytes_sent,
-            "bytes_received": worker.bytes_received,
-        }
-        worker.blocks = 0
-        worker.bytes_sent = 0
-        worker.bytes_received = 0
-        return entry
-
-    def _finalize_collect(
-        self, shard_index: int, header: dict, payload: bytes
-    ) -> dict:
-        worker = self._workers[shard_index]
-        self.supervisor.shard(shard_index).after_collect()
-        entry = {
-            "rows": int(header.get("rows", 0)),
-            "seconds": float(header.get("seconds", 0.0)),
-            "payload": payload,
-            "metrics": header.get("metrics"),
-            "lost": False,
-            "rows_dropped": 0,
-            "blocks": worker.blocks,
-            "bytes_sent": worker.bytes_sent,
-            "bytes_received": worker.bytes_received,
-        }
-        worker.blocks = 0
-        worker.bytes_sent = 0
-        worker.bytes_received = 0
-        return entry
-
-    def _collect_one(self, shard_index: int) -> dict:
-        """Full snapshot request/reply for one shard, with recovery."""
-        shard = self.supervisor.shard(shard_index)
-        if shard.lost:
-            return self._lost_entry(shard_index)
-        worker = self._workers[shard_index]
-        try:
-            self._drain_acks(shard_index, 0)
-            self._send_raw(
-                worker, shard_index, encode_frame({"type": "snapshot"}),
-                fault_hook=True,
-            )
-            header, payload = self._recv_raw(
-                worker, shard_index, self._resilience.deadlines.snapshot
-            )
-            if header.get("type") != "snapshot_state":
-                raise TransportError(
-                    f"shard {shard_index} worker answered "
-                    f"{header.get('type')!r} to a snapshot request"
-                )
-        except TransportError as error:
-            self._handle_transport_failure(shard_index, error)
-            # Either recovered (re-request the snapshot) or lost (the
-            # recursion lands in the lost branch); both are bounded by
-            # max_recoveries.
-            return self._collect_one(shard_index)
-        return self._finalize_collect(shard_index, header, payload)
-
-    def collect(self) -> list[dict]:
-        """Snapshot every worker; returns one result dict per shard.
-
-        Each entry carries ``rows``, ``seconds``, the summary's snapshot
-        ``payload`` bytes, the worker's ``metrics`` registry state (or
-        ``None``), the ``bytes_sent`` / ``bytes_received`` / ``blocks``
-        transport accounting since the previous collect, plus the
-        resilience fields ``lost`` and ``rows_dropped``.  Healthy workers
-        reset to their pristine replica as a side effect, ready for the
-        next ingest; snapshot requests are pipelined across shards so the
-        workers serialize their summaries concurrently.
-        """
-        requested: list[bool] = []
-        for index in range(len(self._workers)):
-            shard = self.supervisor.shard(index)
-            if shard.lost:
-                requested.append(False)
-                continue
-            try:
-                self._drain_acks(index, 0)
-                self._send_raw(
-                    self._workers[index], index,
-                    encode_frame({"type": "snapshot"}), fault_hook=True,
-                )
-                requested.append(True)
-            except TransportError as error:
-                self._handle_transport_failure(index, error)
-                requested.append(False)
-        results = []
-        for index in range(len(self._workers)):
-            if not requested[index]:
-                # Lost, or recovered after the request phase: take the
-                # slow per-shard path (which re-snapshots or reports the
-                # loss).
-                results.append(self._collect_one(index))
-                continue
-            try:
-                header, payload = self._recv_raw(
-                    self._workers[index], index,
-                    self._resilience.deadlines.snapshot,
-                )
-                if header.get("type") != "snapshot_state":
-                    raise TransportError(
-                        f"shard {index} worker answered "
-                        f"{header.get('type')!r} to a snapshot request"
-                    )
-            except TransportError as error:
-                self._handle_transport_failure(index, error)
-                results.append(self._collect_one(index))
-                continue
-            results.append(self._finalize_collect(index, header, payload))
-        return results
+    def _dial(self, shard_index: int) -> SocketShardClient:
+        """Claim the shard's pre-forked worker, or reap its old one and fork anew."""
+        if not self._processes:
+            # Fork every worker before the first handshake, so that their
+            # start-up overlaps instead of adding up.
+            for index in range(len(self.supervisor.shards)):
+                self._unclaimed.append(self._fork(index))
+        sock = self._unclaimed[shard_index]
+        self._unclaimed[shard_index] = None
+        if sock is None:
+            _reap(self._processes[shard_index], grace=0.0)
+            sock = self._fork(shard_index)
+        label = f"pid {self._processes[shard_index].pid}"
+        return self._client(shard_index, label, sock=sock)
 
     def close(self) -> None:
-        """Shut every worker down and release rings; safe to call twice."""
+        """Close every worker's socket and reap its process; idempotent."""
         if self._closed:
             return
-        self._closed = True
-        for worker in self._workers:
-            try:
-                worker.conn.send_bytes(encode_frame({"type": "shutdown"}))
-            except _DEAD_WORKER_ERRORS:
-                pass
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            worker.process.join(timeout=1.0)
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-            if worker.ring is not None:
-                worker.ring.close(unlink=True)
+        super().close()
+        for process, sock in zip(self._processes, self._unclaimed):
+            if sock is not None:
+                # Forked but never dialled: nothing will ever tell it to stop.
+                sock.close()
+                process.kill()
+            _reap(process, grace=1.0)

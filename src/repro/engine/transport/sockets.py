@@ -1,26 +1,30 @@
-"""The socket shard protocol: remote workers behind ``repro/transport@1``.
+"""The shard protocol over sockets: one worker pool for local and remote shards.
 
-The topology-agnostic half of the transport layer.  A :class:`ShardServer`
-(``python -m repro worker``) is an :mod:`asyncio` TCP server that answers
-framed transport messages with a resident :class:`~repro.engine.transport.worker.ShardWorkerState`
-per connection; a :class:`SocketShardClient` is the coordinator-side peer
-that drives one remote shard.  On the wire each frame gains an outer
-``u32`` length prefix; row blocks travel inline as ndarray bytes (shared
-memory does not cross machines), pipelined without per-block acks — the
-``snapshot`` reply is the barrier.  Workers return persistence snapshot
-bytes for merging, never pickled objects.
+A :class:`ShardServer` (``python -m repro worker``) is an :mod:`asyncio`
+TCP server that answers framed ``repro/transport@1`` messages with a
+resident :class:`~repro.engine.transport.worker.ShardWorkerState` per
+connection; :func:`serve_connection` runs the same per-connection handler
+on one already-connected socket (how a forked local worker serves its end
+of a socket pair).  A :class:`SocketShardClient` is the coordinator-side
+peer that drives one shard.  On the wire each frame gains an outer
+``u32`` length prefix and row blocks travel inline as ndarray bytes,
+each acked by the worker with at most :data:`MAX_UNACKED_BLOCKS` in
+flight per shard.  Workers return persistence snapshot bytes for merging,
+never pickled objects.
 
-Failure handling mirrors the resident pool
-(:mod:`repro.engine.transport.resident`): connects go through the
+:class:`SocketWorkerPool` keeps one client per shard and owns failure
+handling: connects go through the
 :class:`~repro.engine.resilience.RetryPolicy`-bounded
-:func:`~repro.engine.resilience.connect_with_retry`, every RPC carries a
-:class:`~repro.engine.resilience.DeadlinePolicy` socket timeout, and a
-dead connection is reconnected — to the same address under ``respawn``
-recovery, or to a *surviving* worker address under ``reassign`` (each
-server connection owns an isolated ``ShardWorkerState``, so one server
-can host several shards) — then reloaded from the shard's basis snapshot
-and replayed its unacked blocks, keeping recovered ingest bit-identical
-to serial.
+:func:`~repro.engine.resilience.connect_with_retry`, every send and
+receive carries a :class:`~repro.engine.resilience.DeadlinePolicy` socket
+timeout, and a dead connection, a missing ack or a breached deadline is
+recovered by re-dialling — the same address under ``respawn`` recovery,
+or a *surviving* worker address under ``reassign`` (each server
+connection owns an isolated ``ShardWorkerState``, so one server can host
+several shards) — then reloading the shard's basis snapshot and replaying
+its unacked blocks, keeping recovered ingest bit-identical to serial.
+The resident backend (:mod:`repro.engine.transport.resident`) is this
+pool with a ``_dial`` that forks a local worker instead of connecting.
 
 :func:`spawn_local_servers` forks loopback servers on ephemeral ports —
 the harness behind the socket-loopback differential tests and the
@@ -53,13 +57,23 @@ from .frames import (
 from .worker import ShardWorkerState
 
 __all__ = [
+    "DEFAULT_TRANSPORT_BLOCK_ROWS",
+    "MAX_UNACKED_BLOCKS",
     "ShardServer",
     "SocketShardClient",
     "SocketWorkerPool",
     "parse_address",
     "run_worker",
+    "serve_connection",
     "spawn_local_servers",
 ]
+
+#: Transport block size used when the coordinator has no ``batch_size``.
+DEFAULT_TRANSPORT_BLOCK_ROWS = 4096
+
+#: Blocks a client may have in flight to one worker before it waits for
+#: the oldest ``block_ack``.
+MAX_UNACKED_BLOCKS = 2
 
 #: Failures that mean "this shard's worker (or its link) is gone".
 _CLIENT_ERRORS = (TransportError, ConnectionError, EOFError, OSError)
@@ -143,7 +157,10 @@ class ShardServer:
                 if reply is not None:
                     out = encode_frame(reply[0], reply[1])
                     writer.write(frame_length_prefix(out) + out)
-                    await writer.drain()
+                    try:
+                        await writer.drain()
+                    except (ConnectionResetError, BrokenPipeError):
+                        break  # the client hung up; it will re-dial
                 if header.get("type") == "shutdown":
                     if header.get("scope") == "server" and self._stop is not None:
                         self._stop.set()
@@ -178,6 +195,20 @@ def run_worker(host: str = "127.0.0.1", port: int = 0, on_ready=None) -> None:
     asyncio.run(ShardServer(host, port).serve(on_ready))
 
 
+def serve_connection(sock: socket.socket) -> None:
+    """Serve one already-connected socket until EOF or ``shutdown``.
+
+    The same per-connection handler :class:`ShardServer` runs, without a
+    listening socket — the entry point of a resident pool's forked worker.
+    """
+
+    async def serve() -> None:
+        reader, writer = await asyncio.open_connection(sock=sock)
+        await ShardServer()._handle_connection(reader, writer)
+
+    asyncio.run(serve())
+
+
 def _server_process_main(host: str, conn) -> None:
     """Child entry for :func:`spawn_local_servers`: serve, report the port."""
 
@@ -188,6 +219,12 @@ def _server_process_main(host: str, conn) -> None:
     run_worker(host, 0, on_ready)
 
 
+def fork_context():
+    """The multiprocessing context local workers start in (fork if available)."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+
+
 def spawn_local_servers(count: int, host: str = "127.0.0.1"):
     """Fork ``count`` loopback shard servers on ephemeral ports.
 
@@ -196,10 +233,7 @@ def spawn_local_servers(count: int, host: str = "127.0.0.1"):
     Stop them with :meth:`SocketShardClient.shutdown_server` per address
     (or terminate the processes).
     """
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0]
-    )
+    context = fork_context()
     addresses: list[str] = []
     processes = []
     for _ in range(count):
@@ -226,16 +260,19 @@ def spawn_local_servers(count: int, host: str = "127.0.0.1"):
 
 
 class SocketShardClient:
-    """Coordinator-side peer driving one remote shard over TCP.
+    """Coordinator-side peer driving one shard worker over a socket.
 
-    Blocks are pipelined (``ack=False``) — TCP provides the flow control a
-    local shm ring needs acks for — and :meth:`snapshot` is the barrier
-    that proves every block was ingested.  All traffic is framed; nothing
-    is pickled.  The initial connect is retried per the pool's
-    :class:`~repro.engine.resilience.RetryPolicy`, so a worker started a
-    moment after the coordinator no longer loses the race, and every RPC
-    runs under a :class:`~repro.engine.resilience.DeadlinePolicy` socket
-    timeout.
+    Dials ``address`` through
+    :func:`~repro.engine.resilience.connect_with_retry` (so a worker
+    started a moment after the coordinator no longer loses the race), or
+    adopts an already-connected ``sock``, in which case ``address`` is
+    only the label error messages name.  Every block ships inline and is
+    acked by the worker; :meth:`send_block` waits for the oldest ack once
+    :data:`MAX_UNACKED_BLOCKS` are in flight, so a lost or unprocessed
+    block surfaces within the ``ingest`` deadline rather than as missing
+    rows.  Every send and receive runs under a
+    :class:`~repro.engine.resilience.DeadlinePolicy` socket timeout.
+    All traffic is framed; nothing is pickled.
     """
 
     backend_name = "sockets"
@@ -246,28 +283,33 @@ class SocketShardClient:
         resilience: ResilienceConfig | None = None,
         shard_index: int | None = None,
         supervisor: WorkerSupervisor | None = None,
+        sock: socket.socket | None = None,
     ) -> None:
-        host, port = parse_address(address)
-        self.address = f"{host}:{port}"
         self.shard_index = shard_index
         self._resilience = (resilience or ResilienceConfig()).validate()
-        self._sock = connect_with_retry(
-            host, port, self._resilience, shard=shard_index,
-            backend=self.backend_name, supervisor=supervisor,
-        )
+        if sock is None:
+            host, port = parse_address(address)
+            self.address = f"{host}:{port}"
+            sock = connect_with_retry(
+                host, port, self._resilience, shard=shard_index,
+                backend=self.backend_name, supervisor=supervisor,
+            )
+        else:
+            self.address = str(address)
+        self._sock = sock
         self._sock.settimeout(self._resilience.deadlines.ingest)
+        self._unacked: list[int] = []
         self.blocks = 0
         self.frames_sent = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        header, _ = self._request(
-            {"type": "hello", "features": list(CLIENT_FEATURES)}
-        )
-        if header.get("type") != "hello":
-            raise TransportError(
-                f"worker at {self.address} answered {header.get('type')!r} "
-                "to the hello handshake"
+        try:
+            header, _ = self._request(
+                {"type": "hello", "features": list(CLIENT_FEATURES)}, "hello"
             )
+        except BaseException:
+            self.close()
+            raise
         self.features = tuple(header.get("features") or ())
 
     def _send_frame(self, frame: bytes, fault_hook: bool = False) -> None:
@@ -275,7 +317,9 @@ class SocketShardClient:
             mangled = apply_send_faults(frame, self.shard_index, self.frames_sent)
             self.frames_sent += 1
             if mangled is None:
-                return  # dropped by the fault plan, like a lost packet
+                # Dropped by the fault plan, like a lost packet: the
+                # missing ack gives it away.
+                return
             frame = mangled
         self._sock.sendall(frame_length_prefix(frame) + frame)
         self.bytes_sent += len(frame) + 4
@@ -304,38 +348,78 @@ class SocketShardClient:
             )
         return header, payload
 
-    def _request(self, header: dict, payload: bytes = b"") -> tuple[dict, bytes]:
+    def wait_acks(self, max_unacked: int = 0) -> None:
+        """Read ``block_ack`` replies until at most ``max_unacked`` remain."""
+        while len(self._unacked) > max_unacked:
+            header, _ = self._recv_frame()
+            expected = self._unacked[0]
+            if header.get("type") != "block_ack" or header.get("seq") != expected:
+                raise TransportError(
+                    f"worker at {self.address} answered "
+                    f"{header.get('type')!r} (seq {header.get('seq')!r}) "
+                    f"while the block_ack for seq {expected} was pending"
+                )
+            self._unacked.pop(0)
+
+    def _recv_reply(
+        self, expected: str, what: str, deadline: float | None = None
+    ) -> tuple[dict, bytes]:
+        """Drain pending acks, then read the reply to a request.
+
+        Acks are read under the ``ingest`` deadline; the reply itself
+        under ``deadline`` when given (snapshots use their own budget).
+        """
+        self.wait_acks()
+        if deadline is None:
+            header, payload = self._recv_frame()
+        else:
+            self._sock.settimeout(deadline)
+            try:
+                header, payload = self._recv_frame()
+            finally:
+                self._sock.settimeout(self._resilience.deadlines.ingest)
+        if header.get("type") != expected:
+            raise TransportError(
+                f"worker at {self.address} answered {header.get('type')!r} "
+                f"to {what}"
+            )
+        return header, payload
+
+    def _request(
+        self, header: dict, expected: str, payload: bytes = b"",
+        deadline: float | None = None,
+    ) -> tuple[dict, bytes]:
         self._send_frame(encode_frame(header, payload))
-        return self._recv_frame()
+        return self._recv_reply(
+            expected, f"a {header['type']} request", deadline
+        )
 
     def load(self, shard_index: int, pristine_payload: bytes) -> None:
         """Install the shard's pristine estimator snapshot on the worker."""
-        header, _ = self._request(
-            {"type": "load", "shard": shard_index}, bytes(pristine_payload)
+        self._request(
+            {"type": "load", "shard": shard_index}, "ok",
+            bytes(pristine_payload), self._resilience.deadlines.snapshot,
         )
-        if header.get("type") != "ok":
-            raise TransportError(
-                f"worker at {self.address} answered {header.get('type')!r} "
-                "to a load request"
-            )
 
     def send_block(
         self, shard_index: int, block: np.ndarray, seq: int | None = None
     ) -> None:
-        """Ship one row block inline (pipelined, no per-block ack)."""
+        """Ship one row block inline, waiting for acks past the in-flight cap."""
+        self.wait_acks(MAX_UNACKED_BLOCKS - 1)
         contiguous = np.ascontiguousarray(block)
+        seq = self.blocks if seq is None else seq
         header = {
             "type": "ingest_block",
             "shard": shard_index,
-            "seq": self.blocks if seq is None else seq,
-            "ack": False,
-            "shm": None,
+            "seq": seq,
+            "ack": True,
             "shape": list(contiguous.shape),
             "dtype": np.dtype(contiguous.dtype).str,
         }
         self._send_frame(
             encode_frame(header, contiguous.tobytes()), fault_hook=True
         )
+        self._unacked.append(seq)
         self.blocks += 1
 
     def ping(self) -> dict:
@@ -350,12 +434,7 @@ class SocketShardClient:
                 f"worker at {self.address} did not negotiate the "
                 "'heartbeat' feature"
             )
-        header, _ = self._request({"type": "ping"})
-        if header.get("type") != "pong":
-            raise TransportError(
-                f"worker at {self.address} answered {header.get('type')!r} "
-                "to a ping"
-            )
+        header, _ = self._request({"type": "ping"}, "pong")
         return header
 
     def sync(self) -> tuple[int, bytes]:
@@ -364,17 +443,10 @@ class SocketShardClient:
         Returns ``(last_seq, summary_bytes)`` without resetting the
         worker's resident estimator — the supervisor's basis refresh.
         """
-        previous = self._sock.gettimeout()
-        self._sock.settimeout(self._resilience.deadlines.snapshot)
-        try:
-            header, payload = self._request({"type": "snapshot", "reset": False})
-        finally:
-            self._sock.settimeout(previous)
-        if header.get("type") != "snapshot_state":
-            raise TransportError(
-                f"worker at {self.address} answered {header.get('type')!r} "
-                "to a sync snapshot request"
-            )
+        header, payload = self._request(
+            {"type": "snapshot", "reset": False}, "snapshot_state",
+            deadline=self._resilience.deadlines.snapshot,
+        )
         return int(header.get("last_seq", -1)), payload
 
     def request_snapshot(self) -> None:
@@ -383,22 +455,22 @@ class SocketShardClient:
 
     def read_snapshot(self) -> dict:
         """Receive the ``snapshot_state`` reply for :meth:`request_snapshot`."""
-        previous = self._sock.gettimeout()
-        self._sock.settimeout(self._resilience.deadlines.snapshot)
-        try:
-            header, payload = self._recv_frame()
-        finally:
-            self._sock.settimeout(previous)
-        if header.get("type") != "snapshot_state":
-            raise TransportError(
-                f"worker at {self.address} answered {header.get('type')!r} "
-                "to a snapshot request"
-            )
+        header, payload = self._recv_reply(
+            "snapshot_state", "a snapshot request",
+            self._resilience.deadlines.snapshot,
+        )
         result = {
             "rows": int(header.get("rows", 0)),
             "seconds": float(header.get("seconds", 0.0)),
             "payload": payload,
             "metrics": header.get("metrics"),
+        }
+        result.update(self.take_accounting())
+        return result
+
+    def take_accounting(self) -> dict:
+        """Transport counters since the last snapshot, then reset them."""
+        accounting = {
             "blocks": self.blocks,
             "bytes_sent": self.bytes_sent,
             "bytes_received": self.bytes_received,
@@ -406,14 +478,14 @@ class SocketShardClient:
         self.blocks = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        return result
+        return accounting
 
     def snapshot(self) -> dict:
         """Barrier + merge: the worker's summary snapshot and accounting.
 
-        Returns the same result-dict shape as
-        :meth:`~repro.engine.transport.resident.ResidentWorkerPool.collect`
-        entries; transport counters reset afterwards.
+        Returns the result-dict shape of :meth:`SocketWorkerPool.collect`
+        entries (without the resilience fields); transport counters reset
+        afterwards.
         """
         self.request_snapshot()
         return self.read_snapshot()
@@ -421,33 +493,38 @@ class SocketShardClient:
     def shutdown_server(self) -> None:
         """Stop the *whole server* behind this connection (CI teardown)."""
         try:
-            self._request({"type": "shutdown", "scope": "server"})
-        except (TransportError, ConnectionError, OSError):
+            self._request({"type": "shutdown", "scope": "server"}, "ok")
+        except _CLIENT_ERRORS:
             pass
         self.close()
 
     def close(self) -> None:
-        """Close this connection, ending the worker-side session."""
+        """End the worker-side session and close this connection.
+
+        ``shutdown`` reaches the peer even where a forked process still
+        holds a copy of this socket, so the worker always sees EOF.
+        """
         try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, or already closed
+        self._sock.close()
 
 
 class SocketWorkerPool:
     """One persistent :class:`SocketShardClient` per shard.
 
-    The coordinator-facing surface mirrors
-    :class:`~repro.engine.transport.resident.ResidentWorkerPool` —
-    ``send_block`` / ``collect`` / ``close`` — so ``Coordinator.ingest``
-    drives local and remote workers through the same protocol, and the
-    same :class:`~repro.engine.resilience.WorkerSupervisor` model governs
-    failures: reconnect (or reassign to a surviving address), reload the
-    basis snapshot, replay unacked blocks.  Under ``fail-fast`` recovery
-    a failed worker or dropped connection surfaces as
+    The coordinator-facing surface — ``send_block`` / ``collect`` /
+    ``close`` — is what ``Coordinator.ingest`` drives for both transport
+    backends, and the :class:`~repro.engine.resilience.WorkerSupervisor`
+    model governs failures: re-dial (or reassign to a surviving address),
+    reload the basis snapshot, replay unacked blocks.  Under ``fail-fast``
+    recovery a failed worker or dropped connection surfaces as
     :class:`~repro.errors.EstimationError` naming the shard index and
     backend, after which the pool has closed every connection so the
     owning coordinator can reconnect on its next ingest call.
+    Subclasses change where a shard's session comes from by overriding
+    :meth:`_dial`.
     """
 
     backend_name = "sockets"
@@ -463,27 +540,27 @@ class SocketWorkerPool:
                 f"{len(addresses)} worker address(es) for "
                 f"{len(pristine_payloads)} shard(s); need exactly one each"
             )
+        self._addresses = [
+            "{}:{}".format(*parse_address(address)) for address in addresses
+        ]
+        self._open(pristine_payloads, resilience)
+
+    def _open(
+        self, pristine_payloads: list[bytes], resilience: ResilienceConfig | None
+    ) -> None:
+        """Dial every shard and load its pristine replica."""
         self.supervisor = WorkerSupervisor(
             self.backend_name,
             [bytes(payload) for payload in pristine_payloads],
             resilience,
         )
         self._resilience = self.supervisor.resilience
-        self._addresses = [
-            "{}:{}".format(*parse_address(address)) for address in addresses
-        ]
         self._clients: list[SocketShardClient] = []
         self._closed = False
         for index, payload in enumerate(pristine_payloads):
             try:
-                client = SocketShardClient(
-                    self._addresses[index],
-                    resilience=self._resilience,
-                    shard_index=index,
-                    supervisor=self.supervisor,
-                )
-                self._clients.append(client)
-                client.load(index, bytes(payload))
+                self._clients.append(self._dial(index))
+                self._clients[index].load(index, bytes(payload))
             except _CLIENT_ERRORS as error:
                 self._fail(index, error)
 
@@ -497,11 +574,17 @@ class SocketWorkerPool:
         raise EstimationError(
             f"shard {shard_index} worker failed mid-ingest under the "
             f"'{self.backend_name}' backend ({type(error).__name__}: {error});"
-            " the connections were closed and will be re-established on the "
+            " the workers were shut down and will be re-established on the "
             "next ingest() call"
         ) from error
 
     # -- supervision -------------------------------------------------------------
+
+    def _client(self, shard_index: int, address, sock=None) -> SocketShardClient:
+        return SocketShardClient(
+            address, resilience=self._resilience, shard_index=shard_index,
+            supervisor=self.supervisor, sock=sock,
+        )
 
     def _dial(self, shard_index: int) -> SocketShardClient:
         """Connect shard ``shard_index`` somewhere per the recovery mode."""
@@ -519,10 +602,7 @@ class SocketWorkerPool:
         last_error: BaseException | None = None
         for address in candidates:
             try:
-                return SocketShardClient(
-                    address, resilience=self._resilience,
-                    shard_index=shard_index, supervisor=self.supervisor,
-                )
+                return self._client(shard_index, address)
             except _CLIENT_ERRORS as error:
                 last_error = error
         raise TransportError(
@@ -546,11 +626,18 @@ class SocketWorkerPool:
         client.load(shard_index, shard.basis)
         for seq, block in shard.replay_blocks():
             client.send_block(shard_index, block, seq)
+        # A replay that fails must fail inside this recovery attempt.
+        client.wait_acks()
 
     def _handle_transport_failure(
         self, shard_index: int, error: BaseException
     ) -> bool:
-        """Recover ``shard_index`` per policy; True when healthy again."""
+        """Recover ``shard_index`` per policy; True when healthy again.
+
+        Charges recovery attempts until one re-dial + replay succeeds; on
+        exhaustion either marks the shard lost (``on_exhausted="degrade"``,
+        returns False) or closes the pool and raises ``EstimationError``.
+        """
         if isinstance(error, _WorkerReportedError):
             # The estimator failed, not the link: replay would fail
             # identically, so surface it like the fail-fast path does.
@@ -573,7 +660,7 @@ class SocketWorkerPool:
     # -- the ingest protocol -----------------------------------------------------
 
     def send_block(self, shard_index: int, block: np.ndarray) -> None:
-        """Ship one row block to ``shard_index``'s remote worker."""
+        """Ship one row block to ``shard_index``'s worker (ack-paced)."""
         shard = self.supervisor.shard(shard_index)
         if shard.lost:
             shard.record_dropped(int(block.shape[0]))
@@ -603,30 +690,14 @@ class SocketWorkerPool:
         except _CLIENT_ERRORS as error:
             self._handle_transport_failure(shard_index, error)
 
-    def _lost_entry(self, shard_index: int) -> dict:
-        client = self._clients[shard_index]
-        shard = self.supervisor.shard(shard_index)
-        entry = {
-            "rows": 0,
-            "seconds": 0.0,
-            "payload": None,
-            "metrics": None,
-            "lost": True,
-            "rows_dropped": shard.drain_dropped(),
-            "blocks": client.blocks,
-            "bytes_sent": client.bytes_sent,
-            "bytes_received": client.bytes_received,
-        }
-        client.blocks = 0
-        client.bytes_sent = 0
-        client.bytes_received = 0
-        return entry
-
     def _collect_one(self, shard_index: int) -> dict:
         """Full snapshot round trip for one shard, with recovery."""
         shard = self.supervisor.shard(shard_index)
         if shard.lost:
-            return self._lost_entry(shard_index)
+            entry = {"rows": 0, "seconds": 0.0, "payload": None, "metrics": None}
+            entry.update(self._clients[shard_index].take_accounting())
+            entry.update(lost=True, rows_dropped=shard.drain_dropped())
+            return entry
         try:
             result = self._clients[shard_index].snapshot()
         except _CLIENT_ERRORS as error:
@@ -634,17 +705,25 @@ class SocketWorkerPool:
             # Either recovered (snapshot again) or lost (the recursion
             # lands in the lost branch); bounded by max_recoveries.
             return self._collect_one(shard_index)
-        shard.after_collect()
-        result["lost"] = False
-        result["rows_dropped"] = 0
+        return self._collected(shard_index, result)
+
+    def _collected(self, shard_index: int, result: dict) -> dict:
+        self.supervisor.shard(shard_index).after_collect()
+        result.update(lost=False, rows_dropped=0)
         return result
 
     def collect(self) -> list[dict]:
-        """Snapshot every worker; one result dict per shard (see client).
+        """Snapshot every worker; returns one result dict per shard.
 
-        Snapshot requests are pipelined across shards so remote workers
-        serialize their summaries concurrently; the replies are gathered
-        (and failures recovered) in shard order.
+        Each entry carries ``rows``, ``seconds``, the summary's snapshot
+        ``payload`` bytes, the worker's ``metrics`` registry state (or
+        ``None``), the ``bytes_sent`` / ``bytes_received`` / ``blocks``
+        transport accounting since the previous collect, plus the
+        resilience fields ``lost`` and ``rows_dropped``.  Healthy workers
+        reset to their pristine replica as a side effect, ready for the
+        next ingest.  Snapshot requests are pipelined across shards so the
+        workers serialize their summaries concurrently; the replies are
+        gathered (and failures recovered) in shard order.
         """
         requested: list[bool] = []
         for index, client in enumerate(self._clients):
@@ -660,6 +739,8 @@ class SocketWorkerPool:
         results = []
         for index in range(len(self._clients)):
             if not requested[index]:
+                # Lost, or recovered after the request phase: take the
+                # per-shard path, which re-snapshots or reports the loss.
                 results.append(self._collect_one(index))
                 continue
             try:
@@ -668,10 +749,7 @@ class SocketWorkerPool:
                 self._handle_transport_failure(index, error)
                 results.append(self._collect_one(index))
                 continue
-            self.supervisor.shard(index).after_collect()
-            result["lost"] = False
-            result["rows_dropped"] = 0
-            results.append(result)
+            results.append(self._collected(index, result))
         return results
 
     def close(self) -> None:

@@ -2,14 +2,14 @@
 
 :class:`ShardWorkerState` is the *transport-agnostic* half of a worker —
 the same handler object answers frames whether they arrived over a
-resident pool's pipe (:mod:`repro.engine.transport.resident`) or a TCP
-socket (:mod:`repro.engine.transport.sockets`).  Its contract is the
+resident pool's socket pair (:mod:`repro.engine.transport.resident`) or a
+TCP connection (:mod:`repro.engine.transport.sockets`).  Its contract is the
 snapshot-bytes-only protocol:
 
 * ``load`` installs the shard's estimator from persistence snapshot bytes
   (:func:`repro.persistence.from_bytes`) and caches the *pristine* payload;
-* ``ingest_block`` feeds one row block — resolved from a shared-memory
-  descriptor or inline frame bytes — through ``observe_rows``;
+* ``ingest_block`` feeds one row block — the frame's inline ndarray
+  bytes — through ``observe_rows`` and acks it when asked to;
 * ``snapshot`` ships the updated summary back as snapshot bytes (plus row
   count, ingest seconds and the worker's telemetry registry state) and
   resets the estimator to the cached pristine payload, giving every
@@ -28,7 +28,6 @@ from ... import persistence, telemetry
 from ...errors import TransportError
 from ..resilience import faults as _faults
 from ..resilience.supervisor import CLIENT_FEATURES as WORKER_FEATURES
-from .shm import ShmReader
 
 __all__ = ["ShardWorkerState", "WORKER_FEATURES"]
 
@@ -54,7 +53,6 @@ class ShardWorkerState:
         self._seconds = 0.0
         self._last_seq = -1
         self._blocks_handled = 0
-        self._shm = ShmReader()
         self._registry_scope = None
         self._registry = None
         self._rescope_registry()
@@ -81,9 +79,9 @@ class ShardWorkerState:
         """Answer one decoded frame; returns ``(reply_header, reply_payload)``.
 
         ``ingest_block`` frames with ``ack=False`` return ``None`` (the
-        pipelined socket path treats the eventual ``snapshot`` reply as the
-        barrier); every other message produces a reply.  Handler failures
-        are reported as ``error`` frames rather than killing the loop.
+        eventual ``snapshot`` reply is then the only barrier); every other
+        message produces a reply.  Handler failures are reported as
+        ``error`` frames rather than killing the loop.
         """
         message_type = header.get("type")
         try:
@@ -149,27 +147,23 @@ class ShardWorkerState:
             # crash/hang rules fire here, before the block lands, so a
             # recovered worker replays this very block deterministically.
             plan.on_block(self._shard_index, self._blocks_handled)
-        descriptor = header.get("shm")
-        if descriptor is not None:
-            block = self._shm.read(descriptor)
-        else:
-            dtype = np.dtype(header["dtype"])
-            shape = tuple(header["shape"])
-            expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-            if len(payload) != expected:
-                # A frame truncated in transit decodes fine when the header
-                # JSON survives; the size mismatch is the only tell.  Raise
-                # TransportError (connection-fatal) instead of an error
-                # frame: replaying the block into a fresh session succeeds,
-                # unlike a genuine estimator failure.
-                raise TransportError(
-                    f"ingest_block payload is {len(payload)} byte(s) but "
-                    f"shape {list(shape)} of {dtype.str} needs {expected}; "
-                    "the frame was truncated in transit"
-                )
-            block = np.frombuffer(payload, dtype=dtype).reshape(shape)
-            # frombuffer views are read-only; estimators may retain rows.
-            block = np.array(block, copy=True)
+        dtype = np.dtype(header["dtype"])
+        shape = tuple(header["shape"])
+        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+        if len(payload) != expected:
+            # A frame truncated in transit decodes fine when the header
+            # JSON survives; the size mismatch is the only tell.  Raise
+            # TransportError (connection-fatal) instead of an error
+            # frame: replaying the block into a fresh session succeeds,
+            # unlike a genuine estimator failure.
+            raise TransportError(
+                f"ingest_block payload is {len(payload)} byte(s) but "
+                f"shape {list(shape)} of {dtype.str} needs {expected}; "
+                "the frame was truncated in transit"
+            )
+        block = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        # frombuffer views are read-only; estimators may retain rows.
+        block = np.array(block, copy=True)
         started = time.perf_counter()
         self._estimator.observe_rows(block)
         self._seconds += time.perf_counter() - started
@@ -214,8 +208,7 @@ class ShardWorkerState:
         return reply, summary
 
     def close(self) -> None:
-        """Release shm attachments and the scoped registry."""
-        self._shm.close()
+        """Release the scoped registry."""
         if self._registry_scope is not None:
             self._registry_scope.__exit__(None, None, None)
             self._registry_scope = None

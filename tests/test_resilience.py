@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import multiprocessing
+import re
+import socket
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from repro import (
     UniformSampleEstimator,
 )
 from repro import telemetry
+from repro.engine import coordinator as coordinator_module
 from repro.engine.resilience import (
     CLIENT_FEATURES,
     DeadlinePolicy,
@@ -48,8 +52,9 @@ from repro.engine.resilience import (
     installed_fault_plan,
 )
 from repro.engine.resilience.faults import FAULT_PLAN_ENV
+from repro.engine.resilience.supervisor import connect_with_retry
 from repro.engine.transport import SocketShardClient, spawn_local_servers
-from repro.errors import TransportError
+from repro.errors import EstimationError, TransportError
 
 D = 5
 DATA = Dataset.random(n_rows=400, n_columns=D, seed=21)
@@ -393,6 +398,56 @@ def test_coordinator_close_is_idempotent_and_context_managed() -> None:
     c.close()
 
 
+def _resident_workers() -> list[str]:
+    return [
+        child.name
+        for child in multiprocessing.active_children()
+        if re.fullmatch(r"repro-shard-\d+", child.name)
+    ]
+
+
+def _link_lost(*args) -> None:
+    raise ConnectionResetError("link lost before load")
+
+
+def test_resident_workers_are_reaped_on_every_exit_path(
+    tmp_path, monkeypatch
+) -> None:
+    """Context exit, failures and the atexit hook all reap every worker."""
+    with Coordinator(_exact_factory, n_shards=2, backend="resident") as c:
+        c.ingest(RowStream(MORE))
+        assert len(_resident_workers()) == 2
+    assert _resident_workers() == []
+
+    plan = FaultPlan(
+        [FaultRule(action="crash", shard=1, after_blocks=1)],
+        state_dir=str(tmp_path),
+    )
+    failing = Coordinator(
+        _exact_factory, n_shards=2, backend="resident", batch_size=64,
+        resilience={"recovery": {"mode": "fail-fast"}},
+    )
+    with installed_fault_plan(plan):
+        with pytest.raises(EstimationError, match=r"shard 1 .*'resident'"):
+            failing.ingest(RowStream(DATA))
+    assert _resident_workers() == []
+
+    # A failed first handshake leaves later workers forked but never dialled.
+    with monkeypatch.context() as patch:
+        patch.setattr(SocketShardClient, "load", _link_lost)
+        with pytest.raises(EstimationError, match=r"shard 0 .*'resident'"):
+            Coordinator(
+                _exact_factory, n_shards=2, backend="resident"
+            ).ingest(RowStream(MORE))
+    assert _resident_workers() == []
+
+    unclosed = Coordinator(_exact_factory, n_shards=2, backend="resident")
+    unclosed.ingest(RowStream(MORE))
+    assert len(_resident_workers()) == 2
+    coordinator_module._close_live_coordinators()
+    assert _resident_workers() == []
+
+
 # -- end-to-end: socket recovery -------------------------------------------------
 
 
@@ -455,3 +510,14 @@ def test_socket_exhausted_connect_names_address() -> None:
     )
     with pytest.raises(TransportError, match=r"127\.0\.0\.1:9.*2 attempt"):
         SocketShardClient("127.0.0.1:9", resilience=config, shard_index=0)
+
+
+def test_dialled_socket_disables_nagle() -> None:
+    """Small frames must not wait behind the peer's delayed ACK."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        port = listener.getsockname()[1]
+        sock = connect_with_retry("127.0.0.1", port, ResilienceConfig())
+        try:
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            sock.close()

@@ -1,4 +1,4 @@
-"""Tests for the transport layer: frames, shared memory, resident + socket pools.
+"""Tests for the transport layer: frames, resident + socket pools.
 
 The load-bearing property is the transport contract of the resident and
 socket backends: they replay exactly the ``observe_rows`` call sequence of
@@ -32,9 +32,6 @@ from repro import (
 )
 from repro.engine.resilience import FaultPlan, FaultRule, installed_fault_plan
 from repro.engine.transport import (
-    RING_SLOTS,
-    ShmReader,
-    ShmRing,
     SocketShardClient,
     decode_frame,
     encode_frame,
@@ -133,61 +130,6 @@ def test_frame_rejects_truncation() -> None:
         decode_frame(frame[:2])
     with pytest.raises(TransportError, match="truncated"):
         decode_frame(frame[:-3])
-
-
-# -- shared-memory ring ---------------------------------------------------------
-
-
-def test_shm_ring_place_and_read_roundtrip() -> None:
-    ring = ShmRing(slots=RING_SLOTS, slot_bytes=1 << 12)
-    reader = ShmReader()
-    try:
-        blocks = [
-            np.arange(12, dtype=np.int64).reshape(3, 4),
-            np.ones((2, 4), dtype=np.int64) * 7,
-            np.zeros((1, 4), dtype=np.int64),
-        ]
-        for index, block in enumerate(blocks):
-            descriptor = ring.place(block)
-            assert descriptor["slot"] == index % RING_SLOTS
-            out = reader.read(descriptor)
-            np.testing.assert_array_equal(out, block)
-            # The reader hands back an independent copy, not a live view.
-            out[0, 0] = -1
-            np.testing.assert_array_equal(reader.read(descriptor), block)
-    finally:
-        reader.close()
-        ring.close(unlink=True)
-
-
-def test_shm_ring_regrows_for_oversized_blocks() -> None:
-    ring = ShmRing(slots=RING_SLOTS, slot_bytes=1 << 10)
-    reader = ShmReader()
-    try:
-        big = np.arange(4096, dtype=np.int64).reshape(512, 8)  # 32 KiB
-        assert ring.needs_regrow(big)
-        old_name = ring.name
-        ring.regrow(big.nbytes)
-        assert ring.name != old_name
-        assert not ring.needs_regrow(big)
-        np.testing.assert_array_equal(reader.read(ring.place(big)), big)
-    finally:
-        reader.close()
-        ring.close(unlink=True)
-
-
-def test_shm_reader_reports_vanished_segment() -> None:
-    reader = ShmReader()
-    descriptor = {
-        "name": "repro-never-created",
-        "slot": 0,
-        "offset": 0,
-        "nbytes": 8,
-        "shape": [1, 1],
-        "dtype": "<i8",
-    }
-    with pytest.raises(TransportError, match="vanished"):
-        reader.read(descriptor)
 
 
 # -- differential harness: resident ---------------------------------------------
@@ -442,23 +384,29 @@ def test_resident_worker_hang_past_deadline_recovers(tmp_path) -> None:
             coordinator.close()
 
 
-def test_resident_dropped_frame_breaches_deadline_and_recovers() -> None:
-    """A silently dropped block never acks; the deadline converts the
-    missing ack into a recovery instead of an undercounted summary."""
+@pytest.mark.parametrize("backend", ["resident", "sockets"])
+def test_resident_dropped_frame_breaches_deadline_and_recovers(
+    backend: str, loopback_workers
+) -> None:
+    """A silently dropped block never acks; the missing ack becomes a
+    recovery instead of an undercounted summary, on both backends."""
+    data = Dataset.random(n_rows=1000, n_columns=D, seed=13)
     serial = _merged_bytes(
-        _exact_factory, "serial", [RowStream(DATA)], batch_size=64
+        _exact_factory, "serial", [RowStream(data)], batch_size=64
     )
     plan = FaultPlan([FaultRule(action="drop", shard=0, frame=2)])
     with installed_fault_plan(plan):
         coordinator = Coordinator(
             _exact_factory,
             n_shards=2,
-            backend="resident",
+            backend=backend,
+            worker_addresses=loopback_workers if backend == "sockets" else None,
             batch_size=64,
             resilience={"deadlines": {"ingest": 0.75}},
         )
         try:
-            report = coordinator.ingest(RowStream(DATA))
+            report = coordinator.ingest(RowStream(data))
+            assert report.rows_total == data.n_rows
             assert report.recoveries >= 1
             assert coordinator.merged_estimator.to_bytes() == serial
         finally:
