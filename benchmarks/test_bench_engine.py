@@ -4,8 +4,8 @@ Measures the engine's two hot paths against the single-threaded
 :class:`~repro.streaming.runner.StreamRunner` choreography the benchmarks
 used before the engine existed:
 
-* ingest throughput (rows/sec) at 1, 2, 4 and 8 shards, serial vs process
-  workers;
+* ingest throughput (rows/sec) at 1, 2, 4 and 8 shards, serial vs resident
+  worker processes (each pool closed after its run);
 * batch-query latency (mean / p95 per query) through the
   :class:`~repro.engine.service.QueryService`, cold cache vs warm cache.
 
@@ -70,16 +70,16 @@ def test_sharded_ingest_throughput(benchmark):
         runner_seconds = time.perf_counter() - started
         results.append(("StreamRunner", "single-thread", runner_seconds, None))
         for n_shards in SHARD_COUNTS:
-            coordinator = Coordinator(
+            with Coordinator(
                 _factory,
                 n_shards=n_shards,
                 policy="round_robin",
-                backend="serial" if n_shards == 1 else "processes",
-            )
-            started = time.perf_counter()
-            report = coordinator.ingest(stream)
-            wall = time.perf_counter() - started
-            answer = coordinator.merged_estimator.estimate_fp(QUERIES[0], 0)
+                backend="serial" if n_shards == 1 else "resident",
+            ) as coordinator:
+                started = time.perf_counter()
+                report = coordinator.ingest(stream)
+                wall = time.perf_counter() - started
+                answer = coordinator.merged_estimator.estimate_fp(QUERIES[0], 0)
             results.append((f"engine x{n_shards}", report.backend, wall, answer))
         return results
 

@@ -12,7 +12,11 @@ error ("rounding distortion") incurred by answering on ``C'`` instead of
 * ``F_p``, ``p > 1``:  ``r(α, F_p) = 2^{α d (p - 1)}``
 * ``F_p``, ``p < 1``:  ``r(α, F_p) = 2^{α d (1 - p)}``
 
-(and no distortion at all for ``p = 1``).
+(and no distortion at all for ``p = 1``).  Because the band edges are
+``⌊(1/2 - α) d⌋`` and ``⌈(1/2 + α) d⌉``, the worst rounding distance of a
+concrete net can exceed ``α d`` by up to one column, so
+:meth:`AlphaNet.distortion` evaluates the lemma at that distance,
+:meth:`AlphaNet.max_rounding_cost`, rather than at ``α d``.
 """
 
 from __future__ import annotations
@@ -48,15 +52,20 @@ def rounding_distortion(alpha: float, d: int, p: float) -> float:
         raise InvalidParameterError(f"alpha must be in (0, 1/2), got {alpha}")
     if d < 1:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
+    return _distortion_at_distance(alpha * d, p)
+
+
+def _distortion_at_distance(distance: float, p: float) -> float:
+    """Lemma 6.4 for queries moved by at most ``distance`` columns."""
     if p < 0:
         raise InvalidParameterError(f"p must be non-negative, got {p}")
     if p == 0:
-        return 2.0 ** (alpha * d)
+        return 2.0**distance
     if p == 1:
         return 1.0
     if p > 1:
-        return 2.0 ** (alpha * d * (p - 1))
-    return 2.0 ** (alpha * d * (1 - p))
+        return 2.0 ** (distance * (p - 1))
+    return 2.0 ** (distance * (1 - p))
 
 
 @dataclass(frozen=True)
@@ -206,5 +215,10 @@ class AlphaNet:
         return worst
 
     def distortion(self, p: float) -> float:
-        """Rounding distortion ``r(α, F_p)`` of Lemma 6.4 for this net."""
-        return rounding_distortion(self.alpha, self.d, p)
+        """Rounding distortion ``r(α, F_p)`` of Lemma 6.4 for this net.
+
+        Evaluated at the net's worst rounding distance
+        :meth:`max_rounding_cost`, which the floor/ceiling band edges can
+        push one column past ``α d`` (``d = 10, α = 0.25``: 3, not 2.5).
+        """
+        return _distortion_at_distance(self.max_rounding_cost(), p)

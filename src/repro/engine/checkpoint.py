@@ -189,7 +189,7 @@ def load_checkpoint(
             else _missing_factory,
             n_shards=int(config["n_shards"]),
             policy=str(config["policy"]),
-            backend=str(config["backend"]),
+            backend=_migrate_backend(str(config["backend"])),
             hash_seed=int(config["hash_seed"]),
             batch_size=config["batch_size"],
             # Tolerant reads: checkpoints predating the transport layer
@@ -224,6 +224,16 @@ def load_checkpoint(
         "load", Path(path).stat().st_size, time.perf_counter() - started
     )
     return coordinator
+
+
+def _migrate_backend(backend: str) -> str:
+    """Map a stored backend name onto the one that succeeds it.
+
+    The per-call ``processes`` backend was removed; ``resident`` keeps the
+    same forked local workers (persistently), so checkpoints recorded
+    under ``processes`` restore onto it.
+    """
+    return "resident" if backend == "processes" else backend
 
 
 def load_merged_estimator(path: str | Path) -> ProjectedFrequencyEstimator:

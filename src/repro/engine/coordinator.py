@@ -6,12 +6,11 @@ a sharded one:
 1. a :class:`~repro.engine.partition.StreamPartitioner` assigns every row of
    the input stream to one of ``n_shards`` shards;
 2. each :class:`~repro.engine.shard.Shard` feeds its rows to a fresh
-   estimator replica — serially, in per-call worker processes, in a
-   *resident* pool of forked local workers, or on remote socket workers
-   (the last two share one socket worker pool; in every parallel mode
-   only the estimator's *compact snapshot state* — the
-   :mod:`repro.persistence` wire format, no shard bookkeeping, no timing
-   fields — crosses the process boundary; see
+   estimator replica — serially in-process, in a *resident* pool of forked
+   local workers, or on remote socket workers (the last two share one
+   socket worker pool, and only the estimator's *compact snapshot state* —
+   the :mod:`repro.persistence` wire format, no shard bookkeeping, no
+   timing fields — crosses the process boundary; see
    :mod:`repro.engine.transport`);
 3. the per-shard summaries are folded together through the estimator-level
    ``merge()`` protocol, yielding one summary of the whole stream.
@@ -26,11 +25,8 @@ for sampling-based ones).
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -38,7 +34,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import persistence, telemetry
-from ..coding.words import Word
 from ..core.estimator import ProjectedFrequencyEstimator
 from ..errors import (
     EstimationError,
@@ -60,11 +55,11 @@ from .transport import (
 
 __all__ = ["Coordinator", "IngestReport", "INGEST_BACKENDS"]
 
-#: Supported ingest execution backends.  ``serial`` and ``processes`` are
-#: the original pair; ``resident`` forks a persistent local worker per
-#: shard and ``sockets`` drives remote shard servers, both over the framed
-#: ``repro/transport@1`` protocol.
-INGEST_BACKENDS = ("serial", "processes", "resident", "sockets")
+#: Supported ingest execution backends.  ``serial`` ingests in-process;
+#: ``resident`` forks a persistent local worker per shard and ``sockets``
+#: drives remote shard servers, both over the framed ``repro/transport@1``
+#: protocol.
+INGEST_BACKENDS = ("serial", "resident", "sockets")
 
 #: Coordinators holding (or able to hold) persistent worker pools.  The
 #: atexit hook below closes whatever is still alive at interpreter exit,
@@ -82,44 +77,6 @@ def _close_live_coordinators() -> None:
 
 
 atexit.register(_close_live_coordinators)
-
-
-def _ingest_estimator_state(
-    payload: bytes | ProjectedFrequencyEstimator, rows
-) -> tuple[int, float, bytes | ProjectedFrequencyEstimator, dict | None]:
-    """Worker entry point: restore compact estimator state, ingest, ship back.
-
-    ``payload`` is the estimator's snapshot byte payload (the normal case);
-    estimators that predate the ``state_dict`` contract arrive as plain
-    pickled estimator objects instead.  Either way no :class:`Shard` — with
-    its timing fields and serving bookkeeping — ever crosses the process
-    boundary.  Returns ``(rows_ingested, ingest_seconds, updated_payload,
-    metrics_state)`` where ``metrics_state`` is the worker's *own* telemetry
-    registry (recorded fresh, so a forked parent's history is never double
-    counted) for the coordinator to merge, or ``None`` when telemetry is
-    off.
-    """
-    compact = isinstance(payload, (bytes, bytearray))
-    estimator = (
-        persistence.from_bytes(bytes(payload)) if compact else payload
-    )
-    with telemetry.scoped_registry() as worker_registry:
-        started = time.perf_counter()
-        if isinstance(rows, np.ndarray):
-            estimator.observe_rows(rows)
-            ingested = int(rows.shape[0])
-        else:
-            for row in rows:
-                estimator.observe_row(row)
-            ingested = len(rows)
-        elapsed = time.perf_counter() - started
-    metrics_state = worker_registry.state_dict() if telemetry.enabled() else None
-    return (
-        ingested,
-        elapsed,
-        (estimator.to_bytes() if compact else estimator),
-        metrics_state,
-    )
 
 
 @dataclass(frozen=True)
@@ -147,10 +104,9 @@ class IngestReport:
     merge_seconds: float
     #: Transport bytes that crossed the process boundary per shard (frames
     #: out plus snapshot bytes back).  Zeros under the serial backend (and
-    #: whenever ``n_shards == 1`` short-circuits to it); an estimate of the
-    #: pickled payload sizes under ``processes``; exact frame accounting
-    #: under ``resident`` and ``sockets``.  Empty for reports predating the
-    #: transport layer.
+    #: whenever ``n_shards == 1`` short-circuits to it); exact frame
+    #: accounting under ``resident`` and ``sockets``.  Empty for reports
+    #: predating the transport layer.
     bytes_shipped_per_shard: tuple[int, ...] = ()
     #: Shards given up on after recovery exhaustion (``on_exhausted:
     #: degrade``), as of this ingest.  Empty on healthy runs and on
@@ -185,30 +141,24 @@ class Coordinator:
         Replicas of randomized summaries should share seeds so that sharded
         and single-node ingestion are comparable run to run.
     n_shards:
-        Number of estimator replicas (and, under the ``"processes"``
-        backend, worker processes).
+        Number of estimator replicas (and, under the transport backends,
+        worker processes).
     policy:
         Shard assignment policy, see
         :data:`~repro.engine.partition.PARTITION_POLICIES`.
     backend:
-        ``"processes"`` ingests shards in per-call parallel worker
-        processes; ``"resident"`` keeps one worker process per shard alive
-        across ``ingest()`` calls, hands it row blocks over a socket pair,
-        and ships estimator snapshot bytes only at merge time;
+        ``"serial"`` (the default) ingests shards one after another
+        in-process; ``"resident"`` keeps one forked worker process per
+        shard alive across ``ingest()`` calls, hands it row blocks over a
+        socket pair, and ships estimator snapshot bytes only at merge time;
         ``"sockets"`` drives remote shard servers (``python -m repro
         worker``) at ``worker_addresses`` over the framed
-        ``repro/transport@1`` protocol; ``"serial"`` ingests shards one
-        after another in-process (useful as a baseline and wherever
-        multiprocessing is unavailable).  The transport backends replay the
-        serial backend's exact per-batch ``observe_rows`` sequence, so
-        their merged summaries are bit-identical to a serial ingest of the
-        same stream.
+        ``repro/transport@1`` protocol.  All three route rows through the
+        same block loop, so the transport backends replay the serial
+        backend's exact per-batch ``observe_rows`` sequence and their merged
+        summaries are bit-identical to a serial ingest of the same stream.
     hash_seed:
         Seed for the ``"hash"`` partition policy.
-    max_workers:
-        Cap on concurrent worker processes under the ``"processes"``
-        backend; defaults to ``n_shards``.  The transport backends always
-        run one resident worker per shard.
     worker_addresses:
         ``"host:port"`` strings, one per shard, naming the remote shard
         servers of the ``"sockets"`` backend; unused otherwise.  Checked at
@@ -219,12 +169,14 @@ class Coordinator:
         most this many rows: the stream is chunked with
         :meth:`~repro.streaming.stream.RowStream.iter_batches`, routed with
         one vectorized assignment per block, and shards ingest through the
-        estimators' :meth:`observe_rows` fast path (worker processes receive
-        one ndarray each instead of a pickled list of tuples).  Sketch-backed
+        estimators' :meth:`observe_rows` fast path.  Sketch-backed
         estimators carry each block all the way down to the sketches'
         counted ``update_block`` scatter kernels, so batch ingest is the
         blessed path for the α-net estimator in particular.  ``None`` keeps
-        the row-at-a-time path.  Both paths produce identical summaries for
+        the row-at-a-time path on ``serial``; the transport backends always
+        ship blocks, of
+        :data:`~repro.engine.transport.DEFAULT_TRANSPORT_BLOCK_ROWS` rows
+        unless this is set.  Both paths produce identical summaries for
         identical seeds, with two carve-outs for sketch plans:
         float-accumulating moment sketches may differ in the last ulp, and
         order-dependent Misra-Gries/SpaceSaving trackers may answer
@@ -261,9 +213,8 @@ class Coordinator:
         estimator_factory: Callable[[], ProjectedFrequencyEstimator],
         n_shards: int = 4,
         policy: str = "round_robin",
-        backend: str = "processes",
+        backend: str = "serial",
         hash_seed: int = 0,
-        max_workers: int | None = None,
         batch_size: int | None = None,
         worker_addresses: Sequence[str] | None = None,
         resilience: ResilienceConfig | dict | None = None,
@@ -273,10 +224,6 @@ class Coordinator:
                 f"unknown ingest backend {backend!r}; expected one of "
                 f"{INGEST_BACKENDS}"
             )
-        if max_workers is not None and max_workers < 1:
-            raise InvalidParameterError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
         if batch_size is not None and batch_size < 1:
             raise InvalidParameterError(
                 f"batch_size must be >= 1, got {batch_size}"
@@ -284,7 +231,6 @@ class Coordinator:
         self._factory = estimator_factory
         self._partitioner = StreamPartitioner(n_shards, policy, hash_seed)
         self._backend = backend
-        self._max_workers = max_workers
         self._batch_size = batch_size
         self._worker_addresses = (
             tuple(str(address) for address in worker_addresses)
@@ -366,10 +312,8 @@ class Coordinator:
         into the summary of all earlier batches, so the engine can ingest an
         unbounded sequence of stream segments.
 
-        The serial backend dispatches rows to shards in a single pass with
-        ``O(summary)`` memory, honouring the streaming model; the process
-        backend materialises each shard's rows once, because workers receive
-        their input by pickle.
+        Every backend dispatches rows to shards in a single pass with
+        ``O(summary + block)`` memory, honouring the streaming model.
         """
         started = time.perf_counter()
         shards = [Shard(index, self._factory()) for index in range(self.n_shards)]
@@ -394,27 +338,19 @@ class Coordinator:
                 "shards_lost": (), "rows_dropped": 0,
                 "retries": 0, "recoveries": 0,
             }
-            if self._backend == "serial" or self.n_shards == 1:
-                if self._batch_size is not None:
-                    for start, block in stream.iter_batches(self._batch_size):
-                        assignment = self._partitioner.assign_block(start, block)
-                        for shard_index in range(self.n_shards):
-                            rows = block[assignment == shard_index]
-                            if rows.shape[0]:
-                                shards[shard_index].ingest_block(rows)
-                else:
-                    for index, row in enumerate(stream):
-                        shards[self._partitioner.assign(index, row)].ingest_row(row)
-            elif self._backend in ("resident", "sockets"):
-                shards, bytes_shipped, resilience_info = (
-                    self._ingest_transport(shards, stream)
+            if self._backend != "serial" and self.n_shards > 1:
+                bytes_shipped, resilience_info = self._ingest_transport(
+                    shards, stream
                 )
             elif self._batch_size is not None:
-                buckets = self._partitioner.split_blocks(stream, self._batch_size)
-                shards, bytes_shipped = self._ingest_in_processes(shards, buckets)
+                self._route_blocks(
+                    stream,
+                    self._batch_size,
+                    lambda shard_index, rows: shards[shard_index].ingest_block(rows),
+                )
             else:
-                buckets = self._partitioner.split(stream)
-                shards, bytes_shipped = self._ingest_in_processes(shards, buckets)
+                for index, row in enumerate(stream):
+                    shards[self._partitioner.assign(index, row)].ingest_row(row)
             with telemetry.span("coordinator.merge", n_shards=self.n_shards):
                 merge_started = time.perf_counter()
                 merged = shards[0].snapshot()
@@ -497,28 +433,41 @@ class Coordinator:
                 estimator=type(self._merged).__name__,
             )
 
+    def _route_blocks(
+        self,
+        stream: RowStream,
+        block_rows: int,
+        sink: Callable[[int, np.ndarray], object],
+    ) -> None:
+        """The one block-routing loop behind every batched ingest.
+
+        Walks ``stream`` once in ``block_rows``-row blocks, assigns each
+        block with one vectorized call, and hands every shard's non-empty
+        sub-block to ``sink(shard_index, rows)`` — a shard's
+        ``ingest_block`` in-process, or a worker pool's ``send_block`` on
+        the transport backends.  Sharing the loop is what makes transport
+        ingest replay the serial backend's ``observe_rows`` sequence.
+        """
+        for start, block in stream.iter_batches(block_rows):
+            assignment = self._partitioner.assign_block(start, block)
+            for shard_index in range(self.n_shards):
+                rows = block[assignment == shard_index]
+                if rows.shape[0]:
+                    sink(shard_index, rows)
+
     def _ingest_transport(
         self, shards: list[Shard], stream: RowStream
-    ) -> tuple[list[Shard], tuple[int, ...], dict]:
+    ) -> tuple[tuple[int, ...], dict]:
         """Stream row blocks to resident or remote shard workers.
 
-        Unlike :meth:`_ingest_in_processes`, which materialises every
-        shard's rows up front, the transport backends walk the stream once
-        in :data:`~repro.engine.transport.sockets.DEFAULT_TRANSPORT_BLOCK_ROWS`
-        blocks (or ``batch_size`` blocks when set) and ship each shard's
-        per-batch sub-block as its own ``ingest_block`` frame.  Workers
-        therefore replay the serial backend's exact ``observe_rows`` call
-        sequence, which is what makes the merged summary bit-identical to a
-        serial ingest.  Snapshot bytes cross the boundary only once, at the
-        collect barrier.
+        The stream is routed in
+        :data:`~repro.engine.transport.DEFAULT_TRANSPORT_BLOCK_ROWS` blocks
+        (or ``batch_size`` blocks when set), each shard's per-batch
+        sub-block travelling as its own ``ingest_block`` frame.  Snapshot
+        bytes cross the boundary only once, at the collect barrier, and the
+        shards adopt the estimators decoded from them.  Returns the
+        per-shard bytes shipped and this ingest's resilience accounting.
         """
-        for shard in shards:
-            if not shard.estimator.is_snapshottable:
-                raise EstimationError(
-                    f"{type(shard.estimator).__name__} is not snapshottable; "
-                    f"the '{self._backend}' backend ships estimator snapshot "
-                    "bytes only (see repro.engine.transport)"
-                )
         block_rows = self._batch_size or DEFAULT_TRANSPORT_BLOCK_ROWS
         started = time.perf_counter()
         # Supervisor counters accumulate over the (persistent) pool's
@@ -536,12 +485,7 @@ class Coordinator:
         ) as roundtrip_span:
             try:
                 pool = self._transport_pool(shards)
-                for start, block in stream.iter_batches(block_rows):
-                    assignment = self._partitioner.assign_block(start, block)
-                    for shard_index in range(self.n_shards):
-                        rows = block[assignment == shard_index]
-                        if rows.shape[0]:
-                            pool.send_block(shard_index, rows)
+                self._route_blocks(stream, block_rows, pool.send_block)
                 results = pool.collect()
             except EstimationError:
                 # The pool closed itself on the way out; drop our handle so
@@ -597,7 +541,7 @@ class Coordinator:
             "retries": pool.supervisor.retries - base_retries,
             "recoveries": pool.supervisor.recoveries - base_recoveries,
         }
-        return shards, tuple(bytes_shipped), resilience_info
+        return tuple(bytes_shipped), resilience_info
 
     def _transport_pool(self, shards: list[Shard]):
         """The live worker pool for this backend, spawning/connecting lazily.
@@ -605,32 +549,44 @@ class Coordinator:
         Pools persist across ``ingest()`` calls — that amortised spawn is
         the point of the resident backend — and are (re)built here from the
         current shards' pristine snapshot bytes when absent, including
-        after a worker death tore the previous pool down.
+        after a worker death tore the previous pool down.  An estimator
+        that cannot produce those bytes (no snapshot hooks, or a nested
+        component without a registered codec) is refused before any worker
+        is forked or connected.
         """
-        if self._backend == "resident":
-            if self._resident_pool is None:
-                self._resident_pool = ResidentWorkerPool(
-                    [shard.estimator.to_bytes() for shard in shards],
-                    resilience=self._resilience,
-                )
-            return self._resident_pool
+        pool = self._resident_pool or self._socket_pool
+        if pool is not None:
+            return pool
         addresses = self._worker_addresses
-        if not addresses:
+        if self._backend == "sockets" and not addresses:
             raise InvalidParameterError(
                 "backend 'sockets' needs worker_addresses (one 'host:port' "
                 "per shard); start workers with `python -m repro worker`"
             )
-        if len(addresses) != self.n_shards:
+        if self._backend == "sockets" and len(addresses) != self.n_shards:
             raise InvalidParameterError(
                 f"backend 'sockets' needs one worker address per shard: got "
                 f"{len(addresses)} address(es) for {self.n_shards} shard(s)"
             )
-        if self._socket_pool is None:
-            self._socket_pool = SocketWorkerPool(
-                addresses,
-                [shard.estimator.to_bytes() for shard in shards],
-                resilience=self._resilience,
+        refusal = (
+            f"{type(shards[0].estimator).__name__} is not snapshottable; the "
+            f"'{self._backend}' backend ships estimator snapshot bytes only "
+            "(see repro.engine.transport)"
+        )
+        if not shards[0].estimator.is_snapshottable:
+            raise EstimationError(refusal)
+        try:
+            basis = [shard.estimator.to_bytes() for shard in shards]
+        except SnapshotError as error:
+            raise EstimationError(refusal) from error
+        if self._backend == "resident":
+            self._resident_pool = ResidentWorkerPool(
+                basis, resilience=self._resilience
             )
+            return self._resident_pool
+        self._socket_pool = SocketWorkerPool(
+            addresses, basis, resilience=self._resilience
+        )
         return self._socket_pool
 
     def _record_transport_metrics(
@@ -655,125 +611,13 @@ class Coordinator:
             "wall seconds of one transport exchange (blocks out, snapshots back)",
         ).observe(seconds, backend=self._backend)
 
-    def _ingest_in_processes(
-        self, shards: list[Shard], buckets: list
-    ) -> tuple[list[Shard], tuple[int, ...]]:
-        """Feed every (shard, bucket) pair to a per-call worker-process pool.
-
-        Workers receive only each shard's compact estimator state via
-        :meth:`_shippable_state` (the :mod:`repro.persistence` snapshot
-        bytes — never a pickled :class:`Shard` with its timing fields) plus
-        the rows, and hand the updated state back; the shards adopt the
-        results in the parent.  Estimators without the ``state_dict``
-        contract fall back to travelling as plain pickled estimator
-        objects.  Also returns the approximate per-shard payload bytes that
-        crossed the pool boundary (state out, rows out, state back).
-        """
-        # Fork (where available) shares the parent's loaded modules and is
-        # dramatically cheaper to start than spawn.
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        workers = min(self._max_workers or self.n_shards, self.n_shards)
-        payloads: list[bytes | ProjectedFrequencyEstimator] = [
-            self._shippable_state(shard.estimator) for shard in shards
-        ]
-        started = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = [
-                pool.submit(_ingest_estimator_state, payload, bucket)
-                for payload, bucket in zip(payloads, buckets)
-            ]
-            results = []
-            for shard_index, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except BrokenProcessPool as error:
-                    raise EstimationError(
-                        f"shard {shard_index} worker died mid-ingest under "
-                        f"the '{self._backend}' backend (BrokenProcessPool); "
-                        "the pool was abandoned and the next ingest() call "
-                        "starts a fresh one"
-                    ) from error
-        registry = telemetry.get_registry()
-        bytes_shipped = []
-        bytes_out = bytes_in = blocks = 0
-        for shard, sent, bucket, (ingested, elapsed, payload, metrics_state) in zip(
-            shards, payloads, buckets, results
-        ):
-            estimator = (
-                persistence.from_bytes(bytes(payload))
-                if isinstance(payload, (bytes, bytearray))
-                else payload
-            )
-            if not isinstance(estimator, ProjectedFrequencyEstimator):
-                raise EstimationError(
-                    "worker returned a non-estimator payload of type "
-                    f"{type(estimator).__name__}"
-                )
-            shard.adopt(estimator, ingested, elapsed)
-            if metrics_state is not None and telemetry.enabled():
-                # Workers record into a registry of their own and ship it
-                # back next to the estimator state; fold it in so block and
-                # kernel metrics survive the process boundary.
-                registry.merge_state(metrics_state)
-            shipped_out = self._approximate_payload_bytes(sent)
-            shipped_out += self._approximate_payload_bytes(bucket)
-            shipped_in = self._approximate_payload_bytes(payload)
-            bytes_shipped.append(shipped_out + shipped_in)
-            bytes_out += shipped_out
-            bytes_in += shipped_in
-            blocks += 1
-        if telemetry.enabled():
-            self._record_transport_metrics(
-                bytes_out, bytes_in, blocks, time.perf_counter() - started
-            )
-        return shards, tuple(bytes_shipped)
-
-    @staticmethod
-    def _approximate_payload_bytes(payload) -> int:
-        """Size estimate for one pickled pool payload (state, rows, or state).
-
-        Snapshot bytes and ndarray blocks are counted exactly; row-tuple
-        lists are estimated at eight bytes per value; estimator objects
-        travelling as pickles are counted as zero (unknown until pickled —
-        the accounting is best-effort for the legacy fallback).
-        """
-        if isinstance(payload, (bytes, bytearray)):
-            return len(payload)
-        if isinstance(payload, np.ndarray):
-            return int(payload.nbytes)
-        if isinstance(payload, (list, tuple)):
-            return sum(len(row) for row in payload) * 8
-        return 0
-
-    @staticmethod
-    def _shippable_state(
-        estimator: ProjectedFrequencyEstimator,
-    ) -> bytes | ProjectedFrequencyEstimator:
-        """Compact snapshot bytes when the estimator can produce them.
-
-        ``is_snapshottable`` only says the estimator implements the hooks;
-        a nested component (say a custom, unregistered sketch inside an
-        alpha-net plan) can still refuse to encode, in which case the
-        estimator travels as a plain pickled object — the documented
-        fallback, and still never a whole :class:`Shard`.
-        """
-        if not estimator.is_snapshottable:
-            return estimator
-        try:
-            return estimator.to_bytes()
-        except SnapshotError:
-            return estimator
-
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
         """Shut down resident workers and socket connections, if any.
 
-        Idempotent and safe on every backend; the serial and per-call
-        process backends hold no persistent resources.  A closed
+        Idempotent and safe on every backend; the serial backend holds no
+        persistent resources.  A closed
         coordinator remains fully usable — the next :meth:`ingest` call
         simply spawns or reconnects a fresh worker pool.
         """

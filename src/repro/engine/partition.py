@@ -104,46 +104,11 @@ class StreamPartitioner:
             start_index, block, self._n_shards, self._policy, self._hash_seed
         )
 
-    def split(self, stream: RowStream) -> list[list[Word]]:
-        """Materialise the shard assignment in a single pass over ``stream``.
-
-        Used by the coordinator to hand each worker its rows without
-        replaying the stream once per shard.
-        """
-        buckets: list[list[Word]] = [[] for _ in range(self._n_shards)]
-        for index, row in enumerate(stream):
-            buckets[self.assign(index, row)].append(row)
-        return buckets
-
-    def split_blocks(self, stream: RowStream, batch_size: int) -> list[np.ndarray]:
-        """Materialise the shard assignment as one ``(m_s, d)`` array per shard.
-
-        The batch counterpart of :meth:`split`: the stream is consumed in
-        :meth:`~repro.streaming.stream.RowStream.iter_batches` blocks, each
-        block is routed with one vectorized :meth:`assign_block` call, and
-        every shard receives a single concatenated ndarray (cheap to pickle
-        to a worker process) instead of a list of tuples.  Row-for-row
-        equivalent to :meth:`split`, shard order included.
-        """
-        parts: list[list[np.ndarray]] = [[] for _ in range(self._n_shards)]
-        for start, block in stream.iter_batches(batch_size):
-            assignment = self.assign_block(start, block)
-            for shard in range(self._n_shards):
-                rows = block[assignment == shard]
-                if rows.shape[0]:
-                    parts[shard].append(rows)
-        return [
-            np.vstack(blocks)
-            if blocks
-            else np.empty((0, stream.n_columns), dtype=np.int64)
-            for blocks in parts
-        ]
-
     def substreams(self, stream: RowStream) -> list[RowStream]:
         """Lazy per-shard substreams (each replays and filters ``stream``).
 
-        Equivalent to :meth:`split` row-for-row but without materialising
-        anything; suited to shards that pull their own input.
+        Shard ``k`` replays exactly the rows :meth:`assign_block` routes to
+        ``k``, in stream order; suited to shards that pull their own input.
         """
         return [
             stream.shard(index, self._n_shards, self._policy, self._hash_seed)

@@ -2,9 +2,10 @@
 
 Shards are the unit of parallelism in the engine.  Each shard owns a fresh
 estimator, ingests only the rows its partition policy assigned to it, and
-exposes a :meth:`snapshot` of its summary for merging.  Shards are plain
-pickle-able objects so the coordinator can ship them to worker processes and
-get the updated summaries back.
+exposes a :meth:`snapshot` of its summary for merging.  Shards never cross
+a process boundary: worker backends ship the estimator's snapshot bytes and
+the coordinator-side shard adopts the updated summary.  They still pickle
+cheaply (transient timing state is dropped) for callers that want to.
 """
 
 from __future__ import annotations

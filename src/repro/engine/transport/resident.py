@@ -1,9 +1,8 @@
 """The resident worker pool: spawn once, ingest many, snapshot on demand.
 
-The per-call ``processes`` backend pays three taxes on every
-``Coordinator.ingest`` call: a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
-spawn, a pickled row payload per shard, and a snapshot round trip *in both
-directions*.  A :class:`ResidentWorkerPool` amortises all three: one worker
+A worker pool built per ``Coordinator.ingest`` call would pay a fresh
+spawn and a snapshot round trip *in both directions* on every call.  A
+:class:`ResidentWorkerPool` amortises both: one worker
 per shard is forked once per coordinator lifetime on a
 :func:`socket.socketpair`, loads its shard's estimator once from pristine
 snapshot bytes, and serves its end of the pair with the same
@@ -11,8 +10,7 @@ per-connection handler as a remote ``python -m repro worker``
 (:func:`~repro.engine.transport.sockets.serve_connection`).  Snapshot bytes
 travel back only when the coordinator asks for a merge, after which the
 worker resets itself to the cached pristine payload, so each ingest call
-still starts from a fresh replica exactly like the serial and per-call
-backends.
+still starts from a fresh replica exactly like the serial backend.
 
 Everything else — ack-paced inline block shipping, deadlines, recovery by
 re-dialling and replaying, degradation and the error messages — is the

@@ -319,14 +319,16 @@ def check_estimator_hooks(
     severity="error",
     summary="engine worker payload bypasses the snapshot-bytes contract",
     rationale=(
-        "Process-pool workers must receive compact snapshot bytes\n"
-        "(produced via the persistence layer's `to_bytes`, restored with\n"
-        "`from_bytes`), never pickled live objects: pickling a Shard drags\n"
-        "its RNG, caches and telemetry handles across the process boundary\n"
-        "and couples the wire format to implementation layout.  Any use of\n"
+        "Shard workers must receive compact snapshot bytes (produced via\n"
+        "the persistence layer's `to_bytes`, restored with `from_bytes`),\n"
+        "never pickled live objects: pickling a Shard drags its RNG,\n"
+        "caches and telemetry handles across the process boundary and\n"
+        "couples the wire format to implementation layout.  Any use of\n"
         "the `pickle` module inside `engine/` is flagged, and the\n"
         "coordinator's ship/restore pair must keep routing through\n"
-        "`_shippable_state` / `from_bytes`."
+        "`to_bytes` (the worker pool's basis, built in `_transport_pool`)\n"
+        "and `from_bytes` (the collected snapshots, in `_ingest_transport`);\n"
+        "either function going missing is flagged too."
     ),
     example="import pickle  # inside src/repro/engine/",
 )
@@ -355,21 +357,24 @@ def check_worker_payloads(
     if library != "engine/coordinator.py":
         return
     required = {
-        "_ingest_in_processes": (
-            "_shippable_state",
-            "worker payloads must be built with _shippable_state (snapshot "
-            "bytes), not live estimator objects",
+        "_transport_pool": (
+            "to_bytes",
+            "the worker pool's basis must be estimator snapshot bytes "
+            "(to_bytes), not live estimator objects",
         ),
-        "_ingest_estimator_state": (
+        "_ingest_transport": (
             "from_bytes",
-            "worker-side restore must go through persistence.from_bytes",
+            "collected worker snapshots must be restored through "
+            "persistence.from_bytes",
         ),
     }
+    seen = set()
     for node in ast.walk(module.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if node.name not in required:
             continue
+        seen.add(node.name)
         needle, message = required[node.name]
         mentioned = {
             sub.attr
@@ -378,6 +383,13 @@ def check_worker_payloads(
         } | {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
         if needle not in mentioned:
             yield module, node, f"{node.name}() drifted: {message}"
+    # A renamed or deleted function would otherwise leave this clause
+    # with nothing to check, silently.
+    for name in sorted(set(required) - seen):
+        yield module, None, (
+            f"{name}() not found; retarget PRO006 at the coordinator's "
+            "snapshot-bytes ship/restore pair"
+        )
 
 
 #: Modules whose import anywhere in the transport layer re-introduces an

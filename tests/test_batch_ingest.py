@@ -293,13 +293,16 @@ def test_coordinator_batch_process_backend_matches_serial():
         plan=SketchPlan.default_f0(epsilon=0.3, seed=5),
         alphabet_size=3,
     )
-    parallel = Coordinator(factory, n_shards=2, backend="processes", batch_size=128)
-    serial = Coordinator(factory, n_shards=2, backend="serial", batch_size=128)
-    parallel.ingest(STREAM)
-    serial.ingest(STREAM)
-    assert parallel.merged_estimator.estimate_fp(QUERY, 0) == (
-        serial.merged_estimator.estimate_fp(QUERY, 0)
-    )
+    with Coordinator(
+        factory, n_shards=2, backend="resident", batch_size=128
+    ) as parallel, Coordinator(
+        factory, n_shards=2, backend="serial", batch_size=128
+    ) as serial:
+        parallel.ingest(STREAM)
+        serial.ingest(STREAM)
+        assert parallel.merged_estimator.to_bytes() == (
+            serial.merged_estimator.to_bytes()
+        )
 
 
 def test_coordinator_batch_sampler_is_bit_identical_to_row_path():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -122,6 +123,19 @@ class TestRounding:
         net = AlphaNet(d=12, alpha=0.2)
         with pytest.raises(QueryError):
             net.round_query(ColumnQuery.of([0], 10))
+
+    def test_distortion_covers_the_worst_rounding_distance(self):
+        # Floor/ceiling band edges push the worst distance to 3 > alpha*d = 2.5.
+        net = AlphaNet(d=10, alpha=0.25)
+        assert net.max_rounding_cost() == 3
+        for size in range(1, 11):
+            for columns in combinations(range(10), size):
+                cost = net.rounding_cost(ColumnQuery.of(columns, 10))
+                assert 2**cost <= net.distortion(0)
+        assert net.distortion(0) == 8.0
+        assert net.distortion(2) == 8.0
+        assert net.distortion(0.5) == pytest.approx(2**1.5)
+        assert net.distortion(1) == 1.0
 
     def test_distortion_accessor_matches_module_function(self):
         net = AlphaNet(d=16, alpha=0.25)

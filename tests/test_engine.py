@@ -26,7 +26,7 @@ from repro import (
     StreamPartitioner,
     UniformSampleEstimator,
 )
-from repro.engine import LatencyRecorder
+from repro.engine import INGEST_BACKENDS, LatencyRecorder
 
 D = 8
 DATA = Dataset.random(n_rows=600, n_columns=D, seed=4)
@@ -43,17 +43,35 @@ def _alpha_net_factory() -> AlphaNetEstimator:
 # -- partitioning ---------------------------------------------------------------
 
 
+def _route(
+    partitioner: StreamPartitioner, stream: RowStream, block_rows: int = 97
+) -> list[list[tuple[int, ...]]]:
+    """Per-shard rows, in stream order, as the engine's block loop routes them.
+
+    ``block_rows`` does not divide the 600-row stream, so a short tail
+    block is always exercised.
+    """
+    buckets: list[list[tuple[int, ...]]] = [
+        [] for _ in range(partitioner.n_shards)
+    ]
+    for start, block in stream.iter_batches(block_rows):
+        assignment = partitioner.assign_block(start, block)
+        for row, shard in zip(block.tolist(), assignment.tolist()):
+            buckets[shard].append(tuple(row))
+    return buckets
+
+
 @pytest.mark.parametrize("policy", ["round_robin", "hash"])
 def test_partition_is_exact_cover(policy: str) -> None:
     partitioner = StreamPartitioner(n_shards=4, policy=policy)
-    buckets = partitioner.split(STREAM)
+    buckets = _route(partitioner, STREAM)
     assert len(buckets) == 4
     merged = [row for bucket in buckets for row in bucket]
     assert sorted(merged) == sorted(STREAM)
 
 
 def test_round_robin_balances_exactly() -> None:
-    buckets = StreamPartitioner(n_shards=4, policy="round_robin").split(STREAM)
+    buckets = _route(StreamPartitioner(n_shards=4, policy="round_robin"), STREAM)
     assert [len(bucket) for bucket in buckets] == [150, 150, 150, 150]
 
 
@@ -61,8 +79,8 @@ def test_hash_policy_is_content_addressed() -> None:
     """Hash placement ignores arrival order: a shuffled replay lands rows
     on exactly the same shards."""
     partitioner = StreamPartitioner(n_shards=4, policy="hash", hash_seed=2)
-    original = partitioner.split(STREAM)
-    shuffled = partitioner.split(STREAM.shuffled(seed=13))
+    original = _route(partitioner, STREAM)
+    shuffled = _route(partitioner, STREAM.shuffled(seed=13))
     assert [sorted(bucket) for bucket in original] == [
         sorted(bucket) for bucket in shuffled
     ]
@@ -70,8 +88,8 @@ def test_hash_policy_is_content_addressed() -> None:
 
 def test_lazy_substreams_match_materialised_split() -> None:
     partitioner = StreamPartitioner(n_shards=3, policy="hash", hash_seed=5)
-    assert [list(sub) for sub in partitioner.substreams(STREAM)] == partitioner.split(
-        STREAM
+    assert [list(sub) for sub in partitioner.substreams(STREAM)] == _route(
+        partitioner, STREAM
     )
 
 
@@ -141,14 +159,17 @@ def test_sharded_alpha_net_equals_single_node() -> None:
 
 
 def test_process_backend_matches_serial_backend() -> None:
-    parallel = Coordinator(_alpha_net_factory, n_shards=2, backend="processes")
-    serial = Coordinator(_alpha_net_factory, n_shards=2, backend="serial")
-    report = parallel.ingest(STREAM)
-    serial.ingest(STREAM)
-    assert report.backend == "processes"
-    assert parallel.merged_estimator.estimate_fp(QUERY, 0) == (
-        serial.merged_estimator.estimate_fp(QUERY, 0)
-    )
+    with Coordinator(
+        _alpha_net_factory, n_shards=2, backend="resident", batch_size=128
+    ) as parallel, Coordinator(
+        _alpha_net_factory, n_shards=2, backend="serial", batch_size=128
+    ) as serial:
+        report = parallel.ingest(STREAM)
+        serial.ingest(STREAM)
+        assert report.backend == "resident"
+        assert parallel.merged_estimator.to_bytes() == (
+            serial.merged_estimator.to_bytes()
+        )
 
 
 def test_sharded_uniform_sample_is_statistically_equivalent() -> None:
@@ -186,11 +207,12 @@ def test_incremental_ingest_accumulates() -> None:
 
 
 def test_coordinator_guards() -> None:
-    with pytest.raises(InvalidParameterError):
-        Coordinator(lambda: ExactBaseline(n_columns=D), backend="threads")
-    with pytest.raises(InvalidParameterError):
-        Coordinator(lambda: ExactBaseline(n_columns=D), max_workers=0)
+    assert INGEST_BACKENDS == ("serial", "resident", "sockets")
+    for backend in ("threads", "processes"):
+        with pytest.raises(InvalidParameterError):
+            Coordinator(lambda: ExactBaseline(n_columns=D), backend=backend)
     coordinator = Coordinator(lambda: ExactBaseline(n_columns=D), n_shards=2)
+    assert coordinator.backend == "serial"
     with pytest.raises(EstimationError):
         coordinator.merged_estimator
 

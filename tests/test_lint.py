@@ -454,6 +454,31 @@ def test_regression_bare_transport_recv_fails_lint(tmp_path):
     assert lint.exit_code(report) == 1
 
 
+@pytest.mark.parametrize(
+    ("needle", "replacement", "named"),
+    [
+        # Restoring collected worker state without from_bytes.
+        ("persistence.from_bytes(", "persistence.decode_state(", "_ingest_transport"),
+        # Renaming `_transport_pool` must not leave the clause checking nothing.
+        ("def _transport_pool(", "def _worker_pool(", "_transport_pool() not found"),
+    ],
+)
+def test_regression_drifted_snapshot_plumbing_fails_lint(
+    tmp_path, needle, replacement, named
+):
+    """Drifting the coordinator's snapshot-bytes pair re-introduces PRO006."""
+    source = (REPO_ROOT / "src/repro/engine/coordinator.py").read_text()
+    assert source.count(needle) == 1
+    # The coordinator clause is scoped to engine/coordinator.py by path.
+    mutated = tmp_path / "src" / "repro" / "engine" / "coordinator.py"
+    mutated.parent.mkdir(parents=True)
+    mutated.write_text(source.replace(needle, replacement))
+    report = lint.run_lint([str(mutated)], root=REPO_ROOT)
+    messages = [f.message for f in report.findings if f.rule == "PRO006"]
+    assert any(named in message for message in messages), messages
+    assert lint.exit_code(report) == 1
+
+
 def test_regression_unseeded_rng_fails_lint(tmp_path):
     """Dropping the seed from a real RNG construction re-introduces DET001."""
     source = (REPO_ROOT / "src/repro/sketches/stable_lp.py").read_text()

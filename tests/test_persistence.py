@@ -38,6 +38,7 @@ from repro.engine.checkpoint import load_merged_estimator
 from repro.engine.shard import Shard
 from repro.experiments import RunParams, run_experiment, scenario_names
 from repro.persistence import (
+    dump_envelope,
     from_bytes,
     load_envelope,
     registered_tags,
@@ -352,32 +353,32 @@ def test_query_service_pickle_never_carries_cache_or_recorders():
 
 
 def test_process_backend_ships_estimator_state_not_shards(monkeypatch):
-    """The process pool must never pickle a Shard (regression for the
+    """Worker ingest must never pickle a Shard (regression for the
 
     old protocol that shipped whole ``Shard`` objects — timing fields,
     caches and all — across the process boundary on every call)."""
 
     def forbid_shard_pickle(self):
-        raise AssertionError("Shard must not be pickled by the process backend")
+        raise AssertionError("Shard must not be pickled by a worker backend")
 
     monkeypatch.setattr(Shard, "__getstate__", forbid_shard_pickle)
     monkeypatch.setattr(Shard, "__reduce__", forbid_shard_pickle)
     data = Dataset.random(n_rows=300, n_columns=6, seed=3)
-    serial = Coordinator(
-        lambda: UniformSampleEstimator(6, 32, seed=8), n_shards=2, backend="serial"
-    )
-    serial.ingest(RowStream(data))
-    parallel = Coordinator(
-        lambda: UniformSampleEstimator(6, 32, seed=8),
-        n_shards=2,
-        backend="processes",
-    )
-    report = parallel.ingest(RowStream(data))
-    assert report.rows_total == 300
-    query = ColumnQuery.of([0, 3], 6)
-    assert parallel.merged_estimator.estimate_frequency(query, (0, 1)) == (
-        serial.merged_estimator.estimate_frequency(query, (0, 1))
-    )
+
+    def factory():
+        return UniformSampleEstimator(6, 32, seed=8)
+
+    with Coordinator(
+        factory, n_shards=2, backend="serial", batch_size=64
+    ) as serial, Coordinator(
+        factory, n_shards=2, backend="resident", batch_size=64
+    ) as parallel:
+        serial.ingest(RowStream(data))
+        report = parallel.ingest(RowStream(data))
+        assert report.rows_total == 300
+        assert parallel.merged_estimator.to_bytes() == (
+            serial.merged_estimator.to_bytes()
+        )
 
 
 class _UnregisteredKMV(KMVSketch):
@@ -390,24 +391,62 @@ def _unregistered_plan() -> SketchPlan:
     )
 
 
-def test_process_backend_falls_back_to_pickle_for_unregistered_components():
-    """An estimator whose nested sketches cannot snapshot still ingests in
+@pytest.mark.parametrize("backend", ["resident", "sockets"])
+def test_transport_backends_refuse_unencodable_estimators(backend):
+    """A nested component without a codec is refused before any worker
+    exists, as the same EstimationError as a hook-less estimator."""
+    from repro.errors import EstimationError
 
-    worker processes (travelling as a pickled estimator object — never as a
-    Shard), matching the serial backend exactly."""
-    data = Dataset.random(n_rows=200, n_columns=6, seed=4)
-    query = ColumnQuery.of([1, 4], 6)
-    results = []
-    for backend in ("serial", "processes"):
-        engine = Coordinator(
-            lambda: AlphaNetEstimator(6, alpha=0.3, plan=_unregistered_plan()),
-            n_shards=2,
-            backend=backend,
+    engine = Coordinator(
+        lambda: AlphaNetEstimator(6, alpha=0.3, plan=_unregistered_plan()),
+        n_shards=2,
+        backend=backend,
+        # Never dialled: the refusal comes first.
+        worker_addresses=["127.0.0.1:9", "127.0.0.1:9"],
+    )
+    data = Dataset.random(n_rows=50, n_columns=6, seed=4)
+    with pytest.raises(
+        EstimationError, match=f"not snapshottable; the '{backend}' backend"
+    ) as raised:
+        engine.ingest(RowStream(data))
+    assert isinstance(raised.value.__cause__, SnapshotError)
+    assert engine._resident_pool is None and engine._socket_pool is None
+    # The serial backend still ingests it in-process.
+    serial = Coordinator(
+        lambda: AlphaNetEstimator(6, alpha=0.3, plan=_unregistered_plan()),
+        n_shards=2,
+        backend="serial",
+    )
+    assert serial.ingest(RowStream(data)).rows_total == 50
+
+
+def test_processes_checkpoint_restores_onto_resident(tmp_path):
+    """Checkpoints recorded under the removed ``processes`` backend restore
+    onto its successor ``resident``, for serving and continued ingest."""
+
+    def factory():
+        return UniformSampleEstimator(8, 64, seed=4)
+
+    engine = _engine(factory, n_shards=2, backend="serial", batch_size=128)
+    path = tmp_path / "engine.ckpt"
+    engine.save_checkpoint(path)
+    envelope = load_envelope(path.read_bytes())
+    envelope["config"]["backend"] = "processes"
+    path.write_bytes(dump_envelope(envelope))
+
+    query = ColumnQuery.of([1, 4, 7], 8)
+    served = QueryService.from_checkpoint(path)
+    assert served.estimate_frequency(query, (0, 1, 0)) == (
+        engine.merged_estimator.estimate_frequency(query, (0, 1, 0))
+    )
+    with Coordinator.load_checkpoint(path, factory) as restored:
+        assert restored.backend == "resident"
+        more = Dataset.random(n_rows=200, n_columns=8, seed=9)
+        engine.ingest(RowStream(more))
+        restored.ingest(RowStream(more))
+        assert restored.merged_estimator.to_bytes() == (
+            engine.merged_estimator.to_bytes()
         )
-        report = engine.ingest(RowStream(data))
-        assert report.rows_total == 200
-        results.append(engine.merged_estimator.estimate_fp(query, 0))
-    assert results[0] == results[1]
 
 
 # -- scenario checkpoint bundles -------------------------------------------------

@@ -331,15 +331,15 @@ def test_manual_invalidate_counts():
 
 
 def test_process_backend_ships_worker_registries_back():
-    engine = Coordinator(
+    with Coordinator(
         lambda: UniformSampleEstimator(n_columns=4, sample_size=32, seed=3),
         n_shards=2,
-        backend="processes",
+        backend="resident",
         batch_size=64,  # block ingest: the instrumented kernel path
-    )
-    report = engine.ingest(
-        RowStream(Dataset.random(n_rows=200, n_columns=4, seed=6))
-    )
+    ) as engine:
+        report = engine.ingest(
+            RowStream(Dataset.random(n_rows=200, n_columns=4, seed=6))
+        )
     registry = telemetry.get_registry()
     blocks = registry.counter("repro_ingest_blocks_total").value(
         estimator="UniformSampleEstimator"

@@ -292,21 +292,6 @@ def test_resident_worker_crash_surfaces_and_coordinator_recovers() -> None:
         coordinator.close()
 
 
-def _exit_mid_ingest(payload, bucket):  # pragma: no cover - runs in a worker
-    os._exit(3)
-
-
-def test_process_backend_wraps_broken_pool(monkeypatch) -> None:
-    from repro.engine import coordinator as coordinator_module
-
-    monkeypatch.setattr(
-        coordinator_module, "_ingest_estimator_state", _exit_mid_ingest
-    )
-    coordinator = Coordinator(_exact_factory, n_shards=2, backend="processes")
-    with pytest.raises(EstimationError, match=r"'processes' backend"):
-        coordinator.ingest(RowStream(DATA))
-
-
 def test_socket_truncated_frame_mid_payload_recovers(loopback_workers) -> None:
     """A frame cut off mid-payload kills the connection, not the run.
 
